@@ -21,7 +21,9 @@ from typing import Any
 
 from . import __version__
 from .embedcheck import (
+    PAPER_GAP_EXCEPTIONS,
     CaseVerdict,
+    EmbeddingCase,
     InconsistencyError,
     UnsupportedCaseError,
     Witness,
@@ -130,8 +132,7 @@ class Report:
 
 def _verdict_outputs(v: CaseVerdict) -> dict:
     out: dict[str, Any] = {"criterion": v.criterion, "witness": v.witness,
-                           "holds": v.holds}
-    out.update(v.numbers)
+                           "holds": v.holds, **v.numbers}
     if v.partition is not None:
         out["partition"] = str(v.partition)
     if v.citation is not None:
@@ -141,10 +142,12 @@ def _verdict_outputs(v: CaseVerdict) -> dict:
     return out
 
 
+def _case_inputs(case: EmbeddingCase) -> dict:
+    return {"g": str(case.g_type), "r": str(case.r_type), "l": case.family_parameter}
+
+
 def _verdict_record(v: CaseVerdict, anchor: str) -> Record:
-    return Record(kind="verdict", anchor=anchor,
-                  inputs={"g": str(v.case.g_type), "r": str(v.case.r_type),
-                          "l": v.case.family_parameter},
+    return Record(kind="verdict", anchor=anchor, inputs=_case_inputs(v.case),
                   outputs=_verdict_outputs(v), passed=v.holds)
 
 
@@ -185,12 +188,9 @@ def cmd_report_appendix(args) -> tuple[Report, int]:
     if args.lmax < 4:
         print(f"--lmax must be at least 4, got {args.lmax}", file=sys.stderr)
         return Report(command="report appendix"), EXIT_USAGE
-    l_max = args.lmax
-    results = []
-    for v in rank2_cases_report(l_max):
-        case_no = v.numbers.get("case")
-        results.append(_verdict_record(v, f"orbit-count case ({case_no}): {v.case}"))
-    rows = principal_table(l_max)
+    results = [_verdict_record(v, f"orbit-count case ({v.numbers['case']}): {v.case}")
+               for v in rank2_cases_report(args.lmax)]
+    rows = principal_table(args.lmax)
     for row in rows:
         suffix = f" l={row.case.family_parameter}" if row.case.family_parameter else ""
         outputs = {"rank_plus_3": row.rank_plus_3, "dim_gap": row.dim_gap,
@@ -199,25 +199,33 @@ def cmd_report_appendix(args) -> tuple[Report, int]:
             outputs["alias"] = row.alias_note
         results.append(Record(
             kind="table-row", anchor=f"principal table row: {row.case}{suffix}",
-            inputs={"g": str(row.case.g_type), "r": str(row.case.r_type),
-                    "l": row.case.family_parameter},
-            outputs=outputs, passed=True))
+            inputs=_case_inputs(row.case), outputs=outputs, passed=True))
     for row in rows:
         v = subregular_membership_check(row.case.g_type, row.case.r_type)
         results.append(_verdict_record(v, f"subregular check: {v.case}"))
-    exceptions = sorted(str(c) for c in dimension_gap_exceptions(l_max))
-    expected = ["A3 > B2", "D4 > B3"]
+    exceptions = sorted(str(c) for c in dimension_gap_exceptions(args.lmax))
     results.append(Record(
         kind="table-row", anchor="dimension-gap exception set",
-        inputs={"l_max": l_max},
-        outputs={"expected": expected, "found": exceptions},
-        passed=exceptions == expected))
-    report = Report(command=f"report appendix --lmax {l_max}", results=results)
+        inputs={"l_max": args.lmax},
+        outputs={"expected": list(PAPER_GAP_EXCEPTIONS), "found": exceptions},
+        passed=exceptions == list(PAPER_GAP_EXCEPTIONS)))
+    report = Report(command=f"report appendix --lmax {args.lmax}", results=results)
     return report, EXIT_PASS if report.status == "pass" else EXIT_CHECK_FAILURE
+
+
+def _degree(ring, d, f, cap) -> int | str:
+    """delta_degree, or ">cap" when d^(cap+1) f is still nonzero."""
+    try:
+        return delta_degree(ring, d, f, cap)
+    except NotNilpotentError:
+        return f">{cap}"
 
 
 def cmd_lnd_verify(args) -> tuple[Report, int]:
     cap = args.cap
+    if cap < 0:
+        print(f"--cap must be at least 0, got {cap}", file=sys.stderr)
+        return Report(command=f"lnd verify --cap {cap}"), EXIT_USAGE
     ring = sl2_coordinate_ring()
     d1, d2 = sl2_standard_derivations()
     gens = {name: ring.generator(name) for name in ring.gens}
@@ -231,18 +239,12 @@ def cmd_lnd_verify(args) -> tuple[Report, int]:
         outputs={"d1": d1_preserves, "d2": d2_preserves},
         passed=d1_preserves and d2_preserves))
 
-    degrees = {}
-    nilpotent = True
-    for label, d in (("d1", d1), ("d2", d2)):
-        for name, g in gens.items():
-            try:
-                degrees[f"deg_{label}({name})"] = delta_degree(ring, d, g, cap)
-            except NotNilpotentError:
-                nilpotent = False
-                degrees[f"deg_{label}({name})"] = f">{cap}"
+    degrees = {f"deg_{label}({name})": _degree(ring, d, g, cap)
+               for label, d in (("d1", d1), ("d2", d2)) for name, g in gens.items()}
     results.append(Record(
         kind="lnd-check", anchor=f"local nilpotence on generators (cap {cap})",
-        inputs={"cap": cap}, outputs=degrees, passed=nilpotent))
+        inputs={"cap": cap}, outputs=degrees,
+        passed=all(isinstance(v, int) for v in degrees.values())))
 
     memberships = {
         "a1 in ker d1": is_in_kernel(ring, d1, gens["a1"]),
@@ -266,13 +268,12 @@ def cmd_lnd_verify(args) -> tuple[Report, int]:
         passed=witness.found))
 
     a = ring.element("a1*b2")
-    deg1 = delta_degree(ring, d1, a, cap)
-    deg2 = delta_degree(ring, d2, a, cap)
+    deg1, deg2 = _degree(ring, d1, a, cap), _degree(ring, d2, a, cap)
     results.append(Record(
         kind="lnd-check", anchor="compatibility element a1*b2",
         inputs={"a": "a1*b2"},
         outputs={"deg_d1(a1*b2)": deg1, "deg_d2(a1*b2)": deg2},
-        passed=deg1 == 1 and deg2 <= 1))
+        passed=deg1 == 1 and isinstance(deg2, int) and deg2 <= 1))
 
     reduces = hypersurface_identity_holds()
     results.append(Record(
@@ -324,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     lsub = p.add_subparsers(dest="lnd_kind", required=True)
     vp = lsub.add_parser("verify", help="run the SL2 derivation suite")
     vp.add_argument("--cap", type=int, default=4,
-                    help="iteration cap for nilpotence certification")
+                    help="iteration cap for nilpotence certification (>= 0)")
     vp.set_defaults(handler=cmd_lnd_verify)
 
     return parser
@@ -348,10 +349,8 @@ def main(argv=None) -> int:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
     if report.results:
-        if getattr(args, "format", "text") == "json":
-            print(report.to_json())
-        else:
-            print(report.render_text())
+        json_format = getattr(args, "format", "text") == "json"
+        print(report.to_json() if json_format else report.render_text())
     return code
 
 

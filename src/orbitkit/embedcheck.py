@@ -14,14 +14,16 @@ Pairs settled in the literature by triality or by sl2-triple lifting
 tables are reported with criterion "cited-only" and an explanatory
 citation string; nothing is recomputed for them.
 
-The rank >= 2 case list and the seven-row principal table are fixed
-data; sweeps re-derive every tabulated number from root systems and
+The case list is one table, _CASES; every sweep and lookup is derived
+from it.  Sweeps re-derive every tabulated number from root systems and
 partition counts and fail loudly on any mismatch.
 """
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping
+from functools import lru_cache
+from typing import Callable, Mapping
 
 from .orbits import nilpotent_orbit_count, subregular_partition
 from .partitions import Partition, is_orthogonal_partition, is_symplectic_partition
@@ -72,16 +74,6 @@ class InconsistencyError(RuntimeError):
     that must always hold failed; indicates an implementation bug."""
 
 
-SUPPORTED_CASES = (
-    "G=A3 or A4, R=B2 (=C2)",
-    "G=B3, D4 or A6, R=G2",
-    "G=A2l (l>=2), R=Bl",
-    "G=A2l-1 (l>=2), R=Cl",
-    "G=Dl (l>=4), R=Bl-1",
-    "G=E6, R=F4",
-)
-
-
 @dataclass(frozen=True)
 class EmbeddingCase:
     """A labeled pair of types.  Identical labels are representable so
@@ -128,24 +120,6 @@ class PrincipalRow:
         return self.dim_gap > self.rank_plus_3
 
 
-# Parametrized principal families: (g builder, r builder, closed form for
-# rank G + 3, closed form for dim G - dim R, smallest parameter).
-_FAMILIES = {
-    "A-odd": (lambda l: LieType("A", 2 * l - 1), lambda l: LieType("C", l),
-              lambda l: 2 * l + 2, lambda l: l * (2 * l - 1) - 1, 2),
-    "A-even": (lambda l: LieType("A", 2 * l), lambda l: LieType("B", l),
-               lambda l: 2 * l + 3, lambda l: 2 * l * l + 3 * l, 2),
-    "D": (lambda l: LieType("D", l), lambda l: LieType("B", l - 1),
-          lambda l: l + 3, lambda l: 2 * l - 1, 4),
-}
-
-_FIXED_ROWS = (
-    (LieType("B", 3), LieType("G", 2), 6, 7),
-    (LieType("D", 4), LieType("G", 2), 7, 14),
-    (LieType("A", 6), LieType("G", 2), 9, 34),
-    (LieType("E", 6), LieType("F", 4), 9, 26),
-)
-
 _TRIALITY_CITATION = (
     "G2 is the triality-fixed subgroup of SO8; the subregular Jordan types"
     " (5,1,1) of so7 (extending to (5,1,1,1) in so8) and (5,3) of so8 are"
@@ -161,37 +135,106 @@ _E6_CITATION = (
     " codimension 10; the subregular e6 orbit has codimension 8, so no"
     " conjugate of the subregular SL2 of E6 lies in F4")
 
-_CITED_PAIRS = {
-    (LieType("B", 3), LieType("G", 2)): _TRIALITY_CITATION,
-    (LieType("D", 4), LieType("G", 2)): _TRIALITY_CITATION,
-    (LieType("A", 6), LieType("G", 2)): _A6_CITATION,
-    (LieType("E", 6), LieType("F", 4)): _E6_CITATION,
-}
+# (test, note): the subregular Jordan type of G is incompatible with R
+_NOT_SYMPLECTIC = (lambda p: not is_symplectic_partition(p),
+                   "Jordan type {} is not symplectic, so it preserves no symplectic form")
+_NOT_ORTHOGONAL = (lambda p: not is_orthogonal_partition(p),
+                   "Jordan type {} is not orthogonal, so it preserves no orthogonal form")
+_NO_PART_ONE = (lambda p: p.multiplicity(1) == 0,
+                "Jordan type {} has no part 1, so the subregular SL2 fixes"
+                " no line and misses every conjugate of the stabilizer")
 
 
-def _identify(g: LieType, r: LieType) -> tuple[EmbeddingCase, str | None, bool]:
-    """(case, family key or None, whether the subregular table route
-    applies).  Raises UnsupportedCaseError outside the case list."""
-    if (g, r) in _CITED_PAIRS:
-        return EmbeddingCase(g, r), None, True
-    for key, (gf, rf, _, _, l_min) in _FAMILIES.items():
-        # invert g to the parameter and confirm r matches
-        if key == "A-odd" and g.family == "A" and g.rank % 2 == 1:
-            l = (g.rank + 1) // 2
-        elif key == "A-even" and g.family == "A" and g.rank % 2 == 0:
-            l = g.rank // 2
-        elif key == "D" and g.family == "D":
-            l = g.rank
-        else:
-            continue
-        if l >= l_min and gf(l) == g and rf(l) == r:
-            # the l = 2 coincidences A3 > C2, A4 > B2 are the rank-2 cases
-            # settled by orbit counts alone
-            table_route = l >= (3 if key.startswith("A") else 4)
-            return EmbeddingCase(g, r, l), key, table_route
+@lru_cache(maxsize=None)
+def _rank_form(label: str) -> tuple[str, int, int]:
+    """Family and rank a*l + b of a label: "A2l-1" -> ("A", 2, -1), "B3" -> ("B", 0, 3)."""
+    letter, a, l, b = re.fullmatch(r"([A-G])(\d*)(l?)([+-]\d+)?", label).groups()
+    return (letter, int(a or 1), int(b or 0)) if l else (letter, 0, int(a))
+
+
+def _label_at(label: str, l: int | None) -> tuple[str, int]:
+    """The label at parameter l, before LieType canonicalizes it: "Cl" -> ("C", 2)."""
+    letter, a, b = _rank_form(label)
+    return letter, b if l is None else a * l + b
+
+
+@dataclass(frozen=True)
+class _Case:
+    """One row of the paper's principal-embedding table: G and R fixed
+    ("B3") or linear in the family parameter l >= l_min ("Bl-1").  The l
+    in orbit_count_at are rank-2 coincidences, case (1), settled by orbit
+    counts alone; the rest by the obstruction or the citation."""
+
+    number: int  # the paper's case number
+    g: str
+    r: str
+    closed_forms: Callable[[int | None], tuple[int, int]]  # rank G + 3, dim G - dim R
+    l_min: int | None = None
+    orbit_count_at: tuple[int, ...] = ()
+    obstruction: tuple[Callable[[Partition], bool], str] | None = None
+    citation: str | None = None
+
+    def types(self, l: int | None) -> tuple[LieType, LieType]:
+        return LieType(*_label_at(self.g, l)), LieType(*_label_at(self.r, l))
+
+
+# The case analysis, in the order of the paper's principal table.
+_CASES = (
+    _Case(2, "B3", "G2", lambda _: (6, 7), citation=_TRIALITY_CITATION),
+    _Case(2, "D4", "G2", lambda _: (7, 14), citation=_TRIALITY_CITATION),
+    _Case(2, "A6", "G2", lambda _: (9, 34), citation=_A6_CITATION),
+    _Case(6, "E6", "F4", lambda _: (9, 26), citation=_E6_CITATION),
+    _Case(4, "A2l-1", "Cl", lambda l: (2 * l + 2, l * (2 * l - 1) - 1),
+          l_min=2, orbit_count_at=(2,), obstruction=_NOT_SYMPLECTIC),
+    _Case(3, "A2l", "Bl", lambda l: (2 * l + 3, 2 * l * l + 3 * l),
+          l_min=2, orbit_count_at=(2,), obstruction=_NOT_ORTHOGONAL),
+    _Case(5, "Dl", "Bl-1", lambda l: (l + 3, 2 * l - 1),
+          l_min=4, obstruction=_NO_PART_ONE),
+)
+
+# The paper's claim that exactly these rows have dim G - dim R <= rank G + 3.
+# Stated, not derived from _CASES: `report appendix` tests the table against it.
+PAPER_GAP_EXCEPTIONS = ("A3 > B2", "D4 > B3")
+
+
+def _supported_cases() -> tuple[str, ...]:
+    """One line per case number, e.g. "G=B3, D4 or A6, R=G2"."""
+    lines: dict[int, tuple[list[str], str]] = {}
+    for rec in _CASES:
+        for l in rec.orbit_count_at:
+            g, r = rec.types(l)
+            letter, rank = _label_at(rec.r, l)
+            r_text = str(r) if r.family == letter else f"{r} (={letter}{rank})"
+            lines.setdefault(1, ([], r_text))[0].append(str(g))
+        span = "" if rec.l_min is None else f" (l>={rec.l_min})"
+        lines.setdefault(rec.number, ([], rec.r))[0].append(rec.g + span)
+    return tuple(f"G={', '.join(gs[:-1]) + ' or ' if gs[1:] else ''}{gs[-1]}, R={r}"
+                 for _, (gs, r) in sorted(lines.items()))
+
+
+SUPPORTED_CASES = _supported_cases()
+
+
+def _identify(g: LieType, r: LieType) -> tuple[EmbeddingCase, _Case]:
+    """The analyzed pair g > r and its record, the family parameter solved
+    from the rank of g.  Raises UnsupportedCaseError outside the case list."""
+    for rec in _CASES:
+        letter, a, b = _rank_form(rec.g)
+        l, rest = divmod(g.rank - b, a) if a else (None, g.rank - b)
+        if (g.family == letter and not rest and (l is None or l >= rec.l_min)
+                and rec.types(l) == (g, r)):
+            return EmbeddingCase(g, r, l), rec
     raise UnsupportedCaseError(
         f"no verdict is recorded for {g} > {r}; supported cases: "
         + "; ".join(SUPPORTED_CASES))
+
+
+def _sweep(l_max: int) -> list[tuple[_Case, int | None]]:
+    """Every (record, l) of the table up to l_max, in table order."""
+    if l_max < 4:
+        raise ValueError(f"l_max must be at least 4, got {l_max}")
+    return [(rec, l) for rec in _CASES
+            for l in ((None,) if rec.l_min is None else range(rec.l_min, l_max + 1))]
 
 
 def orbit_count_criterion(g: LieType, r: LieType) -> CaseVerdict:
@@ -200,9 +243,8 @@ def orbit_count_criterion(g: LieType, r: LieType) -> CaseVerdict:
     count_g = nilpotent_orbit_count(g).count
     count_r = nilpotent_orbit_count(r).count
     holds = count_r < count_g
-    case = EmbeddingCase(g, r)
     return CaseVerdict(
-        case=case,
+        case=EmbeddingCase(g, r),
         criterion=Criterion.ORBIT_COUNT,
         witness=Witness.PRINCIPAL if holds else Witness.NONE,
         holds=holds,
@@ -214,19 +256,10 @@ def rank2_cases_report(l_max: int = DEFAULT_L_MAX) -> list[CaseVerdict]:
     """Orbit-count verdicts for the six rank >= 2 principal-subgroup
     cases; parametrized families run over 3 <= l <= l_max (the D family
     over 4 <= l <= l_max).  Every verdict must hold."""
-    if l_max < 4:
-        raise ValueError(f"l_max must be at least 4, got {l_max}")
-    pairs: list[tuple[int, LieType, LieType, int | None]] = [
-        (1, LieType("A", 3), LieType("B", 2), None),
-        (1, LieType("A", 4), LieType("B", 2), None),
-        (2, LieType("B", 3), LieType("G", 2), None),
-        (2, LieType("D", 4), LieType("G", 2), None),
-        (2, LieType("A", 6), LieType("G", 2), None),
-    ]
-    pairs += [(3, LieType("A", 2 * l), LieType("B", l), l) for l in range(3, l_max + 1)]
-    pairs += [(4, LieType("A", 2 * l - 1), LieType("C", l), l) for l in range(3, l_max + 1)]
-    pairs += [(5, LieType("D", l), LieType("B", l - 1), l) for l in range(4, l_max + 1)]
-    pairs.append((6, LieType("E", 6), LieType("F", 4), None))
+    # the report lists the pairs by case number; case (1) lists them without l
+    pairs = [(1, *rec.types(l), None) if l in rec.orbit_count_at
+             else (rec.number, *rec.types(l), l) for rec, l in _sweep(l_max)]
+    pairs.sort(key=lambda pair: pair[0])
 
     verdicts = []
     for index, g, r, l in pairs:
@@ -235,41 +268,31 @@ def rank2_cases_report(l_max: int = DEFAULT_L_MAX) -> list[CaseVerdict]:
             raise InconsistencyError(
                 f"case ({index}) fails at {g} > {r}: orbit counts"
                 f" {v.numbers['orbit_count_g']} vs {v.numbers['orbit_count_r']}")
-        numbers = dict(v.numbers)
-        numbers["case"] = index
+        numbers = {**v.numbers, "case": index}
         if l is not None:
             numbers["l"] = l
-        verdicts.append(CaseVerdict(
-            case=EmbeddingCase(g, r, l), criterion=v.criterion,
-            witness=v.witness, holds=v.holds, numbers=numbers))
+        verdicts.append(replace(v, case=EmbeddingCase(g, r, l), numbers=numbers))
     return verdicts
 
 
-def _row(g: LieType, r: LieType, parameter: int | None,
-         expected_rank_plus_3: int, expected_gap: int,
-         alias_note: str | None = None) -> PrincipalRow:
+def _row(rec: _Case, l: int | None) -> PrincipalRow:
+    g, r = rec.types(l)
     rank_plus_3 = g.rank + 3
     gap = group_dimension(g) - group_dimension(r)
-    if (rank_plus_3, gap) != (expected_rank_plus_3, expected_gap):
+    if (rank_plus_3, gap) != rec.closed_forms(l):
         raise InconsistencyError(
-            f"table row {g} > {r}: closed form ({expected_rank_plus_3},"
-            f" {expected_gap}) vs root-system values ({rank_plus_3}, {gap})")
-    return PrincipalRow(EmbeddingCase(g, r, parameter), rank_plus_3, gap, alias_note)
+            f"table row {g} > {r}: closed form {rec.closed_forms(l)}"
+            f" vs root-system values ({rank_plus_3}, {gap})")
+    letter, rank = _label_at(rec.r, l)
+    note = None if r.family == letter else f"R is {letter}{rank}, canonicalized to {r}"
+    return PrincipalRow(EmbeddingCase(g, r, l), rank_plus_3, gap, note)
 
 
 def principal_table(l_max: int = DEFAULT_L_MAX) -> list[PrincipalRow]:
     """The seven-row table of principal embeddings, parametrized rows
     swept up to l_max.  The closed-form columns are cross-checked
     against dimensions recomputed from root systems."""
-    if l_max < 4:
-        raise ValueError(f"l_max must be at least 4, got {l_max}")
-    rows = [_row(g, r, None, c3, gap) for g, r, c3, gap in _FIXED_ROWS]
-    for key in ("A-odd", "A-even", "D"):
-        gf, rf, c3f, gapf, l_min = _FAMILIES[key]
-        for l in range(l_min, l_max + 1):
-            alias = "R is C2, canonicalized to B2" if key == "A-odd" and l == 2 else None
-            rows.append(_row(gf(l), rf(l), l, c3f(l), gapf(l), alias))
-    return rows
+    return [_row(rec, l) for rec, l in _sweep(l_max)]
 
 
 def dimension_gap_check(g: LieType, r: LieType) -> CaseVerdict:
@@ -277,13 +300,8 @@ def dimension_gap_check(g: LieType, r: LieType) -> CaseVerdict:
     a degenerate fixed-point-free action of the subregular SL2 on G/R,
     so the subregular witness works; otherwise the verdict defers to the
     subregular-partition criterion."""
-    case, key, _ = _identify(g, r)
-    if key is None:
-        expected = next((row[2], row[3]) for row in _FIXED_ROWS if row[:2] == (g, r))
-    else:
-        _, _, c3f, gapf, _ = _FAMILIES[key]
-        expected = (c3f(case.family_parameter), gapf(case.family_parameter))
-    row = _row(g, r, case.family_parameter, *expected)
+    case, rec = _identify(g, r)
+    row = _row(rec, case.family_parameter)
     holds = row.gap_exceeds
     return CaseVerdict(
         case=case,
@@ -312,29 +330,20 @@ def subregular_membership_check(g: LieType, r: LieType) -> CaseVerdict:
     (r,1) of sl_{r+1} is not symplectic for odd r and not orthogonal for
     even r, and Jordan type (2l-3,3) of so_{2l} fixes no line.  The G2
     and F4 rows rest on cited triality/lifting facts."""
-    case, key, _ = _identify(g, r)
-    citation = _CITED_PAIRS.get((g, r))
-    if citation is not None:
+    case, rec = _identify(g, r)
+    if rec.citation is not None:
         return CaseVerdict(
             case=case, criterion=Criterion.CITED_ONLY, witness=Witness.SUBREGULAR,
-            holds=True, citation=citation,
+            holds=True, citation=rec.citation,
             partition=subregular_partition(g) if g.family in "ABD" else None)
     p = subregular_partition(g)
-    numbers: dict[str, int] = {"l": case.family_parameter}
-    if key == "A-odd":
-        holds = not is_symplectic_partition(p)
-        note = f"Jordan type {p} is not symplectic, so it preserves no symplectic form"
-    elif key == "A-even":
-        holds = not is_orthogonal_partition(p)
-        note = f"Jordan type {p} is not orthogonal, so it preserves no orthogonal form"
-    else:
-        holds = p.multiplicity(1) == 0
-        note = (f"Jordan type {p} has no part 1, so the subregular SL2 fixes"
-                " no line and misses every conjugate of the stabilizer")
+    incompatible, note = rec.obstruction
+    holds = incompatible(p)
     return CaseVerdict(
         case=case, criterion=Criterion.SUBREGULAR_PARTITION,
         witness=Witness.SUBREGULAR if holds else Witness.NONE,
-        holds=holds, numbers=numbers, partition=p, note=note)
+        holds=holds, numbers={"l": case.family_parameter}, partition=p,
+        note=note.format(p))
 
 
 def regular_case_dimension(g: LieType, r: LieType) -> int:
@@ -353,26 +362,16 @@ def embedding_verdict(g: LieType, r: LieType) -> CaseVerdict:
     subregular bound, then the subregular-partition or cited argument
     pins the witness.  The returned numbers collect every quantity used.
     """
-    case, _, table_route = _identify(g, r)
+    case, rec = _identify(g, r)
     oc = orbit_count_criterion(g, r)
     numbers = dict(oc.numbers)
     if case.family_parameter is not None:
         numbers["l"] = case.family_parameter
-    if not table_route and oc.holds:
-        return CaseVerdict(
-            case=case, criterion=Criterion.ORBIT_COUNT, witness=Witness.PRINCIPAL,
-            holds=True, numbers=numbers)
+    if case.family_parameter in rec.orbit_count_at and oc.holds:
+        return replace(oc, case=case, numbers=numbers)
     gap = dimension_gap_check(g, r)
     membership = subregular_membership_check(g, r)
     numbers.update(gap.numbers)
     numbers.update(membership.numbers)
-    return CaseVerdict(
-        case=case,
-        criterion=membership.criterion,
-        witness=Witness.SUBREGULAR if membership.holds else Witness.NONE,
-        holds=membership.holds,
-        numbers=numbers,
-        partition=membership.partition,
-        citation=membership.citation,
-        note=gap.note if not gap.holds else membership.note,
-    )
+    return replace(membership, numbers=numbers,
+                   note=membership.note if gap.holds else gap.note)

@@ -129,8 +129,9 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def substitute(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":

@@ -119,7 +119,10 @@ def classify_nilpotent_orbits_typeA(n: int) -> list[Partition]:
             f"rank {n} exceeds the classification cap {CLASSIFY_RANK_CAP}")
     parts = enumerate_partitions(n + 1)
     expected = nilpotent_orbit_count(LieType("A", n)).count
-    assert len(parts) == expected
+    if len(parts) != expected:
+        raise RuntimeError(
+            f"classify A{n}: enumerated {len(parts)} Jordan types, but the"
+            f" partition formula counts {expected}")
     return parts
 
 

@@ -20,11 +20,6 @@ __all__ = [
     "is_orthogonal_partition",
 ]
 
-# Counting switches from explicit enumeration to a dynamic-programming
-# table above this total; the two paths are tested to agree on overlap.
-ENUMERATION_CAP = 28
-
-
 class PartitionConstraint(Enum):
     """Admissible part constraints for enumeration and counting."""
 
@@ -133,11 +128,6 @@ def enumerate_partitions(n: int,
 
 
 @lru_cache(maxsize=None)
-def _count_enumerated(n: int, constraint: PartitionConstraint) -> int:
-    return sum(1 for _ in _gen(n, n, constraint, []))
-
-
-@lru_cache(maxsize=None)
 def _count_by_table(n: int, constraint: PartitionConstraint) -> int:
     # Classic "parts bounded by k" table, one pass per admissible part.
     # Unrestricted parts may repeat; distinct variants use each part at
@@ -161,13 +151,11 @@ def count_partitions(n: int,
                      ) -> int:
     """Number of partitions of n satisfying the constraint.
 
-    Small totals are counted by enumeration, larger ones by a DP table;
-    Python integers keep every count exact at any size.
+    Counted by a DP table; Python integers keep every count exact at
+    any size.
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative total: {n}")
-    if n <= ENUMERATION_CAP:
-        return _count_enumerated(n, constraint)
     return _count_by_table(n, constraint)
 
 

@@ -79,7 +79,7 @@ class LieType:
     @classmethod
     def from_string(cls, text: str) -> "LieType":
         """Parse a strict label like "B3" or "E6" (no whitespace)."""
-        m = re.fullmatch(r"([A-G])([0-9]+)", text)
+        m = re.fullmatch(r"([A-G])([1-9][0-9]*)", text)
         if not m:
             raise InvalidLieTypeError(
                 f"cannot parse Lie type {text!r}; expected a family letter A-G"

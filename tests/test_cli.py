@@ -1,6 +1,7 @@
 import json
 
 from orbitkit.cli import (
+    EXIT_CHECK_FAILURE,
     EXIT_PASS,
     EXIT_UNSUPPORTED,
     EXIT_USAGE,
@@ -126,6 +127,19 @@ class TestLndVerify:
         code, out, _ = run(capsys, "lnd", "verify", "--cap", "6")
         assert code == EXIT_PASS
         assert "cap 6" in out
+
+    def test_negative_cap_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "lnd", "verify", "--cap", "-1")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "--cap must be at least 0, got -1\n"
+
+    def test_cap_zero_records_failures(self, capsys):
+        code, out, err = run(capsys, "lnd", "verify", "--cap", "0")
+        assert code == EXIT_CHECK_FAILURE and err == ""
+        line = next(l for l in out.splitlines() if "compatibility element" in l)
+        assert line.startswith("[FAIL]")
+        assert "deg_d1(a1*b2)=>0 deg_d2(a1*b2)=>0" in line
+        assert "status: fail (7 records)" in out
 
 
 class TestUsage:

@@ -1,7 +1,10 @@
 import pytest
 
+from orbitkit import embedcheck
 from orbitkit.embedcheck import (
+    SUPPORTED_CASES,
     Criterion,
+    InconsistencyError,
     UnsupportedCaseError,
     Witness,
     dimension_gap_check,
@@ -214,8 +217,36 @@ class TestEmbeddingVerdict:
 
     @pytest.mark.parametrize("g,r", [
         ("A1", "A1"), ("E8", "G2"), ("B4", "B2"), ("D4", "A3"), ("G2", "A2"),
-        ("A7", "B3"), ("D5", "B3"),
+        ("A7", "B3"), ("D5", "B3"), ("A41", "C20"), ("A40", "C20"), ("A2", "A1"),
+        ("A5", "B2"), ("D21", "C20"), ("E6", "G2"),
     ])
     def test_unsupported_pairs(self, g, r):
         with pytest.raises(UnsupportedCaseError, match="supported cases"):
             embedding_verdict(T(g), T(r))
+
+
+class TestCaseTable:
+    def test_supported_case_lines(self):
+        assert SUPPORTED_CASES == (
+            "G=A3 or A4, R=B2 (=C2)",
+            "G=B3, D4 or A6, R=G2",
+            "G=A2l (l>=2), R=Bl",
+            "G=A2l-1 (l>=2), R=Cl",
+            "G=Dl (l>=4), R=Bl-1",
+            "G=E6, R=F4",
+        )
+
+    @pytest.mark.parametrize("g,r,l", [
+        ("A41", "C21", 21), ("A40", "B20", 20), ("D21", "B20", 21), ("A3", "C2", 2),
+    ])
+    def test_parameter_solved_from_rank(self, g, r, l):
+        v = embedding_verdict(T(g), T(r))
+        assert v.holds and v.case.family_parameter == l == v.numbers["l"]
+
+    def test_closed_form_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(embedcheck, "group_dimension",
+                            lambda t: group_dimension(t) + (t.family == "G"))
+        with pytest.raises(InconsistencyError, match=r"B3 > G2: closed form \(6, 7\)"):
+            principal_table(4)
+        with pytest.raises(InconsistencyError):
+            dimension_gap_check(T("A6"), T("G2"))

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from orbitkit import orbits
 from orbitkit.orbits import (
     CapacityError,
     centralizer_dimension_oracle,
@@ -79,6 +82,15 @@ class TestTypeAClassification:
     def test_length_matches_count(self):
         for n in range(1, 12):
             assert len(classify_nilpotent_orbits_typeA(n)) == count(f"A{n}")
+
+    def test_count_mismatch_raises(self, monkeypatch):
+        def off_by_one(t):
+            oc = nilpotent_orbit_count(t)
+            return replace(oc, count=oc.count + 1)
+
+        monkeypatch.setattr(orbits, "nilpotent_orbit_count", off_by_one)
+        with pytest.raises(RuntimeError, match=r"A3: enumerated 5 .* counts 6"):
+            classify_nilpotent_orbits_typeA(3)
 
     def test_caps(self):
         with pytest.raises(CapacityError):

@@ -1,11 +1,8 @@
 import pytest
 
 from orbitkit.partitions import (
-    ENUMERATION_CAP,
     Partition,
     PartitionConstraint,
-    _count_by_table,
-    _count_enumerated,
     conjugate_partition,
     count_partitions,
     enumerate_partitions,
@@ -107,18 +104,13 @@ class TestCounting:
         assert count_partitions(8, DO) == 2
 
     def test_matches_enumeration(self):
-        for n in range(25):
+        for n in range(33):
             for c in (U, D, DO):
                 assert count_partitions(n, c) == len(enumerate_partitions(n, c))
 
     def test_pentagonal_oracle_to_40(self):
         for n in range(41):
             assert count_partitions(n, U) == pentagonal_count(n), n
-
-    def test_enumeration_and_table_agree_across_cap(self):
-        for n in range(ENUMERATION_CAP - 4, ENUMERATION_CAP + 5):
-            for c in (U, D, DO):
-                assert _count_enumerated(n, c) == _count_by_table(n, c), (n, c)
 
     def test_large_totals_do_not_overflow(self):
         # Python ints are unbounded; pin a classical value as a regression

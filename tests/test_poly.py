@@ -38,6 +38,22 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             p ** -1
 
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        # p**8: three squarings and one multiply into the unit; squaring
+        # again after the last bit would be a wasted fifth product
+        p = gen("a1") + gen("b2") + 1
+        expected = p * p * p * p * p * p * p * p
+        calls = []
+        original = MultiPoly.__mul__
+
+        def counting_mul(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+        assert p ** 8 == expected
+        assert len(calls) == 4
+
     def test_scalar_and_fraction_coefficients(self):
         p = Fraction(1, 2) * gen("b1") + Fraction(1, 3)
         q = p * 6

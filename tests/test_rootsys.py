@@ -36,7 +36,7 @@ class TestLieType:
         assert LieType.from_string("B3") == LieType("B", 3)
         assert LieType.from_string("E6") == LieType("E", 6)
 
-    @pytest.mark.parametrize("bad", ["Z9", "b3", "B 3", "B", "3B", "Bx", ""])
+    @pytest.mark.parametrize("bad", ["Z9", "b3", "B 3", "B", "3B", "Bx", "", "A03"])
     def test_parse_rejects(self, bad):
         with pytest.raises(InvalidLieTypeError):
             LieType.from_string(bad)
