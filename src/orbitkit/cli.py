@@ -27,7 +27,6 @@ from .embedcheck import (
     InconsistencyError,
     UnsupportedCaseError,
     Witness,
-    dimension_gap_exceptions,
     embedding_verdict,
     principal_table,
     rank2_cases_report,
@@ -54,6 +53,11 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
+
+# Input caps: `orbits B2000` counts in under a second and
+# `report appendix --lmax 500` in about a second.
+ORBITS_RANK_CAP = 2000
+LMAX_CAP = 500
 
 
 def _jsonable(value: Any) -> Any:
@@ -156,6 +160,9 @@ def _verdict_record(v: CaseVerdict, anchor: str) -> Record:
 
 def cmd_orbits(args) -> tuple[Report, int]:
     t = LieType.from_string(args.type)
+    if t.rank > ORBITS_RANK_CAP:
+        print(f"rank must be at most {ORBITS_RANK_CAP}, got {t}", file=sys.stderr)
+        return Report(command=f"orbits {args.type}"), EXIT_USAGE
     oc = nilpotent_orbit_count(t)
     record = Record(
         kind="orbit-count", anchor=f"nilpotent orbit count {t}",
@@ -185,8 +192,9 @@ def _embed_command(args) -> str:
 
 
 def cmd_report_appendix(args) -> tuple[Report, int]:
-    if args.lmax < 4:
-        print(f"--lmax must be at least 4, got {args.lmax}", file=sys.stderr)
+    if not 4 <= args.lmax <= LMAX_CAP:
+        print(f"--lmax must be between 4 and {LMAX_CAP}, got {args.lmax}",
+              file=sys.stderr)
         return Report(command="report appendix"), EXIT_USAGE
     results = [_verdict_record(v, f"orbit-count case ({v.numbers['case']}): {v.case}")
                for v in rank2_cases_report(args.lmax)]
@@ -203,7 +211,7 @@ def cmd_report_appendix(args) -> tuple[Report, int]:
     for row in rows:
         v = subregular_membership_check(row.case.g_type, row.case.r_type)
         results.append(_verdict_record(v, f"subregular check: {v.case}"))
-    exceptions = sorted(str(c) for c in dimension_gap_exceptions(args.lmax))
+    exceptions = sorted(str(row.case) for row in rows if not row.gap_exceeds)
     results.append(Record(
         kind="table-row", anchor="dimension-gap exception set",
         inputs={"l_max": args.lmax},

@@ -300,7 +300,11 @@ def dimension_gap_check(g: LieType, r: LieType) -> CaseVerdict:
     a degenerate fixed-point-free action of the subregular SL2 on G/R,
     so the subregular witness works; otherwise the verdict defers to the
     subregular-partition criterion."""
-    case, rec = _identify(g, r)
+    return _dimension_gap(*_identify(g, r))
+
+
+def _dimension_gap(case: EmbeddingCase, rec: _Case) -> CaseVerdict:
+    g, r = case.g_type, case.r_type
     row = _row(rec, case.family_parameter)
     holds = row.gap_exceeds
     return CaseVerdict(
@@ -330,7 +334,11 @@ def subregular_membership_check(g: LieType, r: LieType) -> CaseVerdict:
     (r,1) of sl_{r+1} is not symplectic for odd r and not orthogonal for
     even r, and Jordan type (2l-3,3) of so_{2l} fixes no line.  The G2
     and F4 rows rest on cited triality/lifting facts."""
-    case, rec = _identify(g, r)
+    return _subregular_membership(*_identify(g, r))
+
+
+def _subregular_membership(case: EmbeddingCase, rec: _Case) -> CaseVerdict:
+    g = case.g_type
     if rec.citation is not None:
         return CaseVerdict(
             case=case, criterion=Criterion.CITED_ONLY, witness=Witness.SUBREGULAR,
@@ -369,8 +377,8 @@ def embedding_verdict(g: LieType, r: LieType) -> CaseVerdict:
         numbers["l"] = case.family_parameter
     if case.family_parameter in rec.orbit_count_at and oc.holds:
         return replace(oc, case=case, numbers=numbers)
-    gap = dimension_gap_check(g, r)
-    membership = subregular_membership_check(g, r)
+    gap = _dimension_gap(case, rec)
+    membership = _subregular_membership(case, rec)
     numbers.update(gap.numbers)
     numbers.update(membership.numbers)
     return replace(membership, numbers=numbers,

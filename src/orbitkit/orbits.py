@@ -82,7 +82,9 @@ class SubregularDatum:
 
 def _pair_count(total: int, lam_weight: int, mu_constraint: PartitionConstraint) -> int:
     """Pairs (lambda, mu) with lam_weight*|lambda| + |mu| = total and mu
-    constrained."""
+    constrained.  The mu table is sized for the largest total first, so
+    the loop reads it without growing it step by step."""
+    count_partitions(total, mu_constraint)
     count = 0
     for mu_total in range(total % lam_weight, total + 1, lam_weight):
         lam_total = (total - mu_total) // lam_weight

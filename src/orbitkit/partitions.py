@@ -7,7 +7,6 @@ All values are immutable and all functions are pure.
 
 from collections import Counter
 from enum import Enum
-from functools import lru_cache
 from typing import Iterator
 
 __all__ = [
@@ -127,23 +126,24 @@ def enumerate_partitions(n: int,
     return list(_gen(n, n, constraint, []))
 
 
-@lru_cache(maxsize=None)
-def _count_by_table(n: int, constraint: PartitionConstraint) -> int:
+# One count table per constraint: _TABLES[c][n] is the number of
+# partitions of n under c, for every n up to the table's size.
+_TABLES: dict[PartitionConstraint, list[int]] = {}
+
+
+def _count_table(size: int, constraint: PartitionConstraint) -> list[int]:
     # Classic "parts bounded by k" table, one pass per admissible part.
     # Unrestricted parts may repeat; distinct variants use each part at
     # most once (0/1 knapsack, descending inner loop).
-    table = [1] + [0] * n
+    table = [1] + [0] * size
     repeatable = constraint is PartitionConstraint.UNRESTRICTED
-    for part in range(1, n + 1):
+    for part in range(1, size + 1):
         if not _admits(part, constraint):
             continue
-        if repeatable:
-            for total in range(part, n + 1):
-                table[total] += table[total - part]
-        else:
-            for total in range(n, part - 1, -1):
-                table[total] += table[total - part]
-    return table[n]
+        totals = range(part, size + 1) if repeatable else range(size, part - 1, -1)
+        for total in totals:
+            table[total] += table[total - part]
+    return table
 
 
 def count_partitions(n: int,
@@ -151,12 +151,17 @@ def count_partitions(n: int,
                      ) -> int:
     """Number of partitions of n satisfying the constraint.
 
-    Counted by a DP table; Python integers keep every count exact at
-    any size.
+    Read from the constraint's shared DP table, which is rebuilt at
+    max(n, twice its size) when n is past its end, so a sweep over
+    totals up to N costs O(N^2) in all; Python integers keep every
+    count exact at any size.
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative total: {n}")
-    return _count_by_table(n, constraint)
+    table = _TABLES.get(constraint, [1])
+    if n >= len(table):
+        table = _TABLES[constraint] = _count_table(max(n, 2 * (len(table) - 1)), constraint)
+    return table[n]
 
 
 def conjugate_partition(p: Partition) -> Partition:

@@ -345,15 +345,17 @@ def build_root_system(t: LieType) -> RootSystem:
 
 @lru_cache(maxsize=None)
 def positive_root_count(t: LieType) -> int:
-    """Number of positive roots, from the same generation code as
-    build_root_system but without materializing heights and expansions;
-    large-rank dimension sweeps only need the count."""
-    if t.family not in "ABCD" or t.rank <= 12:
+    """Number of positive roots.  The exceptional types and ranks <= 12
+    count the self-checked build_root_system; above that the classical
+    families use the closed forms n(n+1)/2 (A), n^2 (B, C) and n(n-1)
+    (D), which the tests match against the full build."""
+    n = t.rank
+    if t.family not in "ABCD" or n <= 12:
         return len(build_root_system(t).positive_roots)
-    _, _, positive, _ = _classical_data(t)
-    return len(positive)
+    return {"A": n * (n + 1) // 2, "D": n * (n - 1)}.get(t.family, n * n)
 
 
+@lru_cache(maxsize=None)
 def group_dimension(t: LieType) -> int:
     """Dimension of the simple group: number of roots plus the rank."""
     return 2 * positive_root_count(t) + t.rank

@@ -1,10 +1,15 @@
 import json
 
+import pytest
+
+from orbitkit import cli, embedcheck
 from orbitkit.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_PASS,
     EXIT_UNSUPPORTED,
     EXIT_USAGE,
+    LMAX_CAP,
+    ORBITS_RANK_CAP,
     Report,
     main,
 )
@@ -31,6 +36,13 @@ class TestOrbitsCommand:
         code, out, err = run(capsys, "orbits", "Z9")
         assert code == EXIT_USAGE
         assert out == "" and "Z9" in err
+
+    def test_rank_cap(self, capsys):
+        code, out, err = run(capsys, "orbits", f"A{ORBITS_RANK_CAP + 1}")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "rank must be at most 2000, got A2001\n"
+        code, out, _ = run(capsys, "orbits", f"A{ORBITS_RANK_CAP}")
+        assert code == EXIT_PASS and "count=" in out
 
 
 class TestEmbedCommand:
@@ -108,6 +120,25 @@ class TestAppendixReport:
     def test_lmax_too_small(self, capsys):
         code, out, err = run(capsys, "report", "appendix", "--lmax", "3")
         assert code == EXIT_USAGE and out == ""
+
+    @pytest.mark.parametrize("lmax", [LMAX_CAP + 1, 10 ** 9])
+    def test_lmax_cap(self, capsys, lmax):
+        code, out, err = run(capsys, "report", "appendix", "--lmax", str(lmax))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"--lmax must be between 4 and 500, got {lmax}\n"
+
+    def test_one_table_sweep(self, capsys, monkeypatch):
+        calls = []
+
+        def spy(l_max):
+            calls.append(l_max)
+            return table(l_max)
+
+        table = embedcheck.principal_table
+        monkeypatch.setattr(embedcheck, "principal_table", spy)
+        monkeypatch.setattr(cli, "principal_table", spy)
+        code, _, _ = run(capsys, "report", "appendix", "--lmax", "8")
+        assert code == EXIT_PASS and calls == [8]
 
     def test_bad_format_rejected(self, capsys):
         code, _, _ = run(capsys, "report", "appendix", "--format", "yaml")

@@ -224,6 +224,22 @@ class TestEmbeddingVerdict:
         with pytest.raises(UnsupportedCaseError, match="supported cases"):
             embedding_verdict(T(g), T(r))
 
+    @pytest.mark.parametrize("g,r", [
+        ("A3", "B2"), ("D4", "B3"), ("E6", "F4"), ("B3", "G2"), ("A9", "C5"),
+        ("A10", "B5"), ("D10", "B9"),
+    ])
+    def test_pair_resolved_once(self, monkeypatch, g, r):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return identify(*args)
+
+        identify = embedcheck._identify
+        monkeypatch.setattr(embedcheck, "_identify", counting)
+        embedding_verdict(T(g), T(r))
+        assert len(calls) == 1
+
 
 class TestCaseTable:
     def test_supported_case_lines(self):

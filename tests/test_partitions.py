@@ -1,5 +1,6 @@
 import pytest
 
+from orbitkit import partitions
 from orbitkit.partitions import (
     Partition,
     PartitionConstraint,
@@ -29,6 +30,32 @@ def pentagonal_count(n, _memo={0: 1}):
         k += 1
     _memo[n] = total
     return total
+
+
+def pentagonal_terms(limit):
+    """(sign, g) for the generalized pentagonal numbers g <= limit, so
+    that prod(1 - x^k) is the sum of sign * x^g."""
+    terms, k = [(1, 0)], 1
+    while k * (3 * k - 1) // 2 <= limit:
+        sign = -1 if k % 2 else 1
+        terms += [(sign, g) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+                  if g <= limit]
+        k += 1
+    return terms
+
+
+def distinct_count(n):
+    """Distinct parts: prod(1 + x^k) = P(x) * E(x^2), with E the
+    pentagonal series; independent of the package counting code."""
+    return sum(sign * pentagonal_count(n - 2 * g) for sign, g in pentagonal_terms(n // 2))
+
+
+def distinct_odd_count(n, _memo={}):
+    """Distinct odd parts, DO(x), solved from prod(1 + x^k) = DO(x) * Q(x^2)."""
+    if n not in _memo:
+        _memo[n] = distinct_count(n) - sum(distinct_count(j) * distinct_odd_count(n - 2 * j)
+                                           for j in range(1, n // 2 + 1))
+    return _memo[n]
 
 
 class TestPartitionType:
@@ -119,6 +146,33 @@ class TestCounting:
     def test_negative_total(self):
         with pytest.raises(ValueError):
             count_partitions(-3)
+
+
+class TestSharedTables:
+    # oracle values for every total up to 300, computed in increasing n
+    EXPECTED = {c: [oracle(n) for n in range(301)] for c, oracle in
+                ((U, pentagonal_count), (D, distinct_count), (DO, distinct_odd_count))}
+
+    def test_oracles_pinned(self):
+        assert self.EXPECTED[U][200] == 3972999029388
+        assert self.EXPECTED[D][:12] == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12]
+        assert self.EXPECTED[DO][:12] == [1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2]
+
+    @pytest.mark.parametrize("order", [(300, 5), (5, 300), (200, 300)], ids=str)
+    def test_counts_do_not_depend_on_growth_order(self, monkeypatch, order):
+        for c, expected in self.EXPECTED.items():
+            monkeypatch.setattr(partitions, "_TABLES", {})
+            for n in order:
+                assert count_partitions(n, c) == expected[n], (c, n)
+            assert [count_partitions(n, c) for n in range(301)] == expected, c
+
+    def test_table_grows_by_doubling(self, monkeypatch):
+        monkeypatch.setattr(partitions, "_TABLES", {})
+        count_partitions(200, DO)
+        count_partitions(201, DO)
+        assert len(partitions._TABLES[DO]) == 401
+        count_partitions(1000, DO)
+        assert len(partitions._TABLES[DO]) == 1001
 
 
 class TestConjugation:

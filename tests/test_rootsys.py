@@ -1,5 +1,7 @@
 import pytest
 
+from orbitkit import rootsys
+from orbitkit.embedcheck import principal_table
 from orbitkit.rootsys import (
     InvalidLieTypeError,
     LieType,
@@ -114,9 +116,23 @@ class TestConstruction:
         assert list(rs.positive_roots) == ordered
 
     def test_counting_path_matches_full_build(self):
-        for label in ("A15", "B13", "C13", "D13"):
-            t = LieType.from_string(label)
-            assert group_dimension(t) == build_root_system(t).dimension
+        for family, minimum in (("A", 1), ("B", 2), ("C", 3), ("D", 4)):
+            for rank in range(minimum, 31):
+                t = LieType(family, rank)
+                assert group_dimension(t) == build_root_system(t).dimension, t
+
+    def test_large_ranks_build_no_roots(self, monkeypatch):
+        def no_large_builds(t):
+            if t.rank > 12:
+                raise AssertionError(f"root vectors built for {t}")
+            return classical_data(t)
+
+        classical_data = rootsys._classical_data
+        monkeypatch.setattr(rootsys, "_classical_data", no_large_builds)
+        group_dimension.cache_clear()
+        positive_root_count.cache_clear()
+        rows = principal_table(200)
+        assert max(row.case.g_type.rank for row in rows) == 400
 
 
 class TestHeights:
