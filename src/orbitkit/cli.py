@@ -16,7 +16,6 @@ import json
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Any
 
 from . import __version__
@@ -63,9 +62,6 @@ LMAX_CAP = 500
 def _jsonable(value: Any) -> Any:
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else \
-            f"{value.numerator}/{value.denominator}"
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
-from .poly import Monomial, MultiPoly, poly_to_text
+from .poly import Monomial, MultiPoly, _add_term, _signed_sum, poly_to_text
 from .quotient import QuotientRing
 
 __all__ = [
@@ -35,7 +35,8 @@ class NotNilpotentError(RuntimeError):
     def __init__(self, cap: int, message: str | None = None):
         self.cap = cap
         super().__init__(message or
-                         f"derivation did not annihilate the element within {cap} steps")
+                         f"derivation did not annihilate the element within {cap + 1}"
+                         f" applications (degree above the cap {cap})")
 
 
 class KernelMembershipError(ValueError):
@@ -86,7 +87,7 @@ def make_derivation(ring: QuotientRing,
 def apply_derivation(ring: QuotientRing, d: Derivation, f: MultiPoly) -> MultiPoly:
     """Extend the generator images by the Leibniz rule and reduce."""
     gens = ring.gens
-    out = ring.zero()
+    out: dict[Monomial, Fraction] = {}
     for mono, coef in f.terms.items():
         for i, e in enumerate(mono):
             if not e:
@@ -95,14 +96,16 @@ def apply_derivation(ring: QuotientRing, d: Derivation, f: MultiPoly) -> MultiPo
             if img.is_zero():
                 continue
             lowered = tuple(x - 1 if k == i else x for k, x in enumerate(mono))
-            out = out + MultiPoly(gens, {lowered: coef * e}) * img
-    return ring.normal_form(out)
+            for m, c in (MultiPoly(gens, {lowered: coef * e}) * img).terms.items():
+                _add_term(out, m, c)
+    return ring.normal_form(MultiPoly(gens, out))
 
 
 def delta_degree(ring: QuotientRing, d: Derivation, f: MultiPoly,
                  cap: int = DEFAULT_DEGREE_CAP) -> int:
     """Largest n with d^n(f) nonzero in the ring; kernel elements have
-    degree 0.  Fails after `cap` applications."""
+    degree 0.  Certifies a degree of at most `cap`: raises
+    NotNilpotentError once d^(cap+1)(f) is still nonzero."""
     g = ring.normal_form(f)
     if g.is_zero():
         raise ValueError("delta-degree is defined for nonzero elements only")
@@ -162,19 +165,8 @@ class WitnessReport:
     def equation(self) -> str:
         if not self.found:
             return f"1 not found at degree {self.degree_cap}"
-        chunks = []
-        for term in self.combination:
-            body = f"{term.left_label}*{term.right_label}"
-            mag = abs(term.coefficient)
-            if mag != 1:
-                num = str(mag.numerator) if mag.denominator == 1 else \
-                    f"{mag.numerator}/{mag.denominator}"
-                body = f"{num}*{body}"
-            chunks.append(("-" if term.coefficient < 0 else "+", body))
-        text = ("-" if chunks[0][0] == "-" else "") + chunks[0][1]
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return f"1 = {text}"
+        return "1 = " + _signed_sum((term.coefficient, f"{term.left_label}*{term.right_label}")
+                                    for term in self.combination)
 
 
 def _label(p: MultiPoly) -> str:
@@ -209,17 +201,9 @@ class _Span:
             rvec, rcombo = self.rows[pivot]
             factor = vec[pivot] / rvec[pivot]
             for m, c in rvec.items():
-                s = vec.get(m, Fraction(0)) - factor * c
-                if s:
-                    vec[m] = s
-                else:
-                    vec.pop(m, None)
+                _add_term(vec, m, -factor * c)
             for i, c in rcombo.items():
-                s = combo.get(i, Fraction(0)) - factor * c
-                if s:
-                    combo[i] = s
-                else:
-                    combo.pop(i, None)
+                _add_term(combo, i, -factor * c)
         return vec, combo, None
 
     def insert(self, index: int, p: MultiPoly):

@@ -86,11 +86,7 @@ class MultiPoly:
         self._check_gens(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            _add_term(out, m, c)
         return MultiPoly(self.gens, out)
 
     __radd__ = __add__
@@ -111,12 +107,7 @@ class MultiPoly:
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+                _add_term(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
         return MultiPoly(self.gens, out)
 
     __rmul__ = __mul__
@@ -137,7 +128,7 @@ class MultiPoly:
     def substitute(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Replace each named generator by a polynomial (same generator
         context); generators not named map to themselves."""
-        out = MultiPoly.zero(self.gens)
+        out: dict[Monomial, Fraction] = {}
         cache = {name: images.get(name, MultiPoly.generator(self.gens, name))
                  for name in self.gens}
         for mono, coef in self.terms.items():
@@ -145,8 +136,9 @@ class MultiPoly:
             for name, e in zip(self.gens, mono):
                 if e:
                     term = term * cache[name] ** e
-            out = out + term
-        return out
+            for m, c in term.terms.items():
+                _add_term(out, m, c)
+        return MultiPoly(self.gens, out)
 
     # -- identity ------------------------------------------------------
 
@@ -164,8 +156,25 @@ class MultiPoly:
         return poly_to_text(self)
 
 
-def _format_coef(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def _add_term(terms: dict, key, coef) -> None:
+    """Add coef into terms[key], dropping the key when the sum cancels."""
+    s = terms.get(key, 0) + coef
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
+def _signed_sum(pairs: Iterable[tuple[Fraction, str]]) -> str:
+    """Join (coefficient, factor text) pairs as `c*f - c*f + ...`; a unit
+    coefficient is left out before a nonempty factor text."""
+    chunks = []
+    for coef, factors in pairs:
+        mag = abs(coef)
+        body = str(mag) if not factors else factors if mag == 1 else f"{mag}*{factors}"
+        chunks.append(("- " if coef < 0 else "+ ") + body)
+    text = " ".join(chunks)
+    return text[2:] if text.startswith("+") else "-" + text[2:]
 
 
 def poly_to_text(p: MultiPoly) -> str:
@@ -173,25 +182,9 @@ def poly_to_text(p: MultiPoly) -> str:
     `gen^k` with `^1` omitted, unit coefficients suppressed."""
     if p.is_zero():
         return "0"
-    chunks = []
-    for mono in sorted(p.terms, reverse=True):
-        coef = p.terms[mono]
-        factors = [g if e == 1 else f"{g}^{e}"
-                   for g, e in zip(p.gens, mono) if e]
-        mag = abs(coef)
-        if factors and mag == 1:
-            body = "*".join(factors)
-        elif factors:
-            body = "*".join([_format_coef(mag)] + factors)
-        else:
-            body = _format_coef(mag)
-        sign = "-" if coef < 0 else "+"
-        chunks.append((sign, body))
-    first_sign, first_body = chunks[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        text += f" {sign} {body}"
-    return text
+    return _signed_sum(
+        (p.terms[mono], "*".join(g if e == 1 else f"{g}^{e}" for g, e in zip(p.gens, mono) if e))
+        for mono in sorted(p.terms, reverse=True))
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
@@ -226,7 +219,7 @@ def parse_poly(text: str, gens: Iterable[str]) -> MultiPoly:
     tokens = _tokenize(text)
     if not tokens:
         raise PolyParseError("empty polynomial text")
-    result = MultiPoly.zero(gens)
+    terms: dict[Monomial, Fraction] = {}
     pos = 0
     while pos < len(tokens):
         sign = 1
@@ -271,5 +264,5 @@ def parse_poly(text: str, gens: Iterable[str]) -> MultiPoly:
             saw_factor = True
         if not saw_factor:
             raise PolyParseError("empty term")
-        result = result + MultiPoly(gens, {tuple(expo): coef})
-    return result
+        _add_term(terms, tuple(expo), coef)
+    return MultiPoly(gens, terms)

@@ -15,7 +15,7 @@ C[SL2]) are of that kind.
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .poly import Monomial, MultiPoly, parse_poly
+from .poly import Monomial, MultiPoly, _add_term, parse_poly
 
 __all__ = ["QuotientRing", "RelationError"]
 
@@ -100,17 +100,14 @@ class QuotientRing:
             coef = work.pop(mono)
             rule = self._rule_for(mono)
             if rule is None:
-                done[mono] = done.get(mono, Fraction(0)) + coef
+                # rewrites land below the rewritten monomial, so monomials
+                # leave `work` in decreasing order and reach `done` once
+                done[mono] = coef
                 continue
             lead, replacement = rule
             shift = tuple(a - b for a, b in zip(mono, lead))
             for rmono, rcoef in replacement.terms.items():
-                target = tuple(a + b for a, b in zip(shift, rmono))
-                s = work.get(target, Fraction(0)) + coef * rcoef
-                if s:
-                    work[target] = s
-                else:
-                    work.pop(target, None)
+                _add_term(work, tuple(a + b for a, b in zip(shift, rmono)), coef * rcoef)
         return MultiPoly(self.gens, done)
 
     def __repr__(self):

@@ -15,6 +15,7 @@ from orbitkit.lndcalc import (
     hypersurface_identity_holds,
     is_in_kernel,
     make_derivation,
+    parse_poly,
     preserves_relations,
     sign_flip_fixes_hypersurface,
     sl2_coordinate_ring,
@@ -149,6 +150,17 @@ class TestDeltaDegree:
         d1, _ = derivations
         assert delta_degree(ring, d1, ring.element("b1^2")) == 2
 
+    def test_cap_boundary(self, ring, derivations):
+        # a cap certifies degree <= cap; the error comes only when
+        # d^(cap+1) is still nonzero
+        d1, _ = derivations
+        f = ring.element("b1^2")
+        assert delta_degree(ring, d1, f, cap=2) == 2
+        with pytest.raises(NotNilpotentError, match="within 2 applications") as info:
+            delta_degree(ring, d1, f, cap=1)
+        assert info.value.cap == 1
+        assert "cap 1" in str(info.value)
+
     def test_zero_input_rejected(self, ring, derivations):
         d1, _ = derivations
         with pytest.raises(ValueError):
@@ -207,6 +219,21 @@ class TestWitnessSearch:
         assert report.found
         assert report.equation() == "1 = a1*b2 - a2*b1"
         assert report.found_degree == 2
+
+    @pytest.mark.parametrize("kernel1, kernel2, equation", [
+        (["2*a1", "3*a2"], ["b1", "b2"], "1 = 1/2*2*a1*b2 - 1/3*3*a2*b1"),
+        (["a2", "a1"], ["2*b2", "b1"], "1 = -a2*b1 + 1/2*a1*2*b2"),
+        (["2*a1 + a2", "a1 - a2"], ["b1", "3*b2"],
+         "1 = -1/3*(2*a1 + a2)*b1 + 1/9*(2*a1 + a2)*3*b2"
+         " + 2/3*(a1 - a2)*b1 + 1/9*(a1 - a2)*3*b2"),
+    ], ids=["scaled", "reordered", "mixed"])
+    def test_equation_with_non_unit_coefficients(self, ring, derivations,
+                                                 kernel1, kernel2, equation):
+        d1, d2 = derivations
+        report = verify_semicompatibility_witness(
+            ring, d1, d2, [ring.element(t) for t in kernel1],
+            [ring.element(t) for t in kernel2])
+        assert report.equation() == equation
 
     def test_witness_combination_evaluates_to_one(self, ring, derivations):
         d1, d2 = derivations
@@ -294,3 +321,21 @@ class TestTorusAction:
 
     def test_z_shift_sanity(self, ring):
         assert str(ring.element("a2*b1 + 1/2 - 1/2")) == "a2*b1"
+
+
+def test_no_whole_polynomial_re_adding(ring, derivations, monkeypatch):
+    # each of these accumulates its terms into one map and builds one
+    # polynomial at the end, instead of re-adding a growing result per term
+    f = ring.element("a1^2*b1 - 3*a2*b1^2 + 1/2*b2 + 5")
+    gens = ("u", "v", "z")
+    relation = parse_poly("u*v - z^2 + 1/4", gens)
+    flip = {name: -MultiPoly.generator(gens, name) for name in gens}
+
+    def forbidden(self, other):
+        raise AssertionError("MultiPoly.__add__ called")
+
+    monkeypatch.setattr(MultiPoly, "__add__", forbidden)
+    for d in derivations:
+        assert not apply_derivation(ring, d, f).is_zero()
+    assert len(parse_poly("a1^2*b1 - 3*a2*b1^2 + 1/2*b2 + 5", ring.gens).terms) == 4
+    assert len(relation.substitute(flip).terms) == 3
