@@ -44,7 +44,6 @@ __all__ = [
     "dimension_gap_check",
     "dimension_gap_exceptions",
     "subregular_membership_check",
-    "regular_case_dimension",
     "embedding_verdict",
 ]
 
@@ -113,11 +112,17 @@ class PrincipalRow:
     case: EmbeddingCase
     rank_plus_3: int
     dim_gap: int
+    record: "_Case" = field(repr=False, compare=False)
     alias_note: str | None = None
 
     @property
     def gap_exceeds(self) -> bool:
         return self.dim_gap > self.rank_plus_3
+
+    def subregular_check(self) -> CaseVerdict:
+        """subregular_membership_check of this row, read from the case
+        record the row was built from instead of resolving the pair."""
+        return _subregular_membership(self.case, self.record)
 
 
 _TRIALITY_CITATION = (
@@ -285,7 +290,7 @@ def _row(rec: _Case, l: int | None) -> PrincipalRow:
             f" vs root-system values ({rank_plus_3}, {gap})")
     letter, rank = _label_at(rec.r, l)
     note = None if r.family == letter else f"R is {letter}{rank}, canonicalized to {r}"
-    return PrincipalRow(EmbeddingCase(g, r, l), rank_plus_3, gap, note)
+    return PrincipalRow(EmbeddingCase(g, r, l), rank_plus_3, gap, rec, note)
 
 
 def principal_table(l_max: int = DEFAULT_L_MAX) -> list[PrincipalRow]:
@@ -352,13 +357,6 @@ def _subregular_membership(case: EmbeddingCase, rec: _Case) -> CaseVerdict:
         witness=Witness.SUBREGULAR if holds else Witness.NONE,
         holds=holds, numbers={"l": case.family_parameter}, partition=p,
         note=note.format(p))
-
-
-def regular_case_dimension(g: LieType, r: LieType) -> int:
-    """dim G - rank G + rank R - 2: the dimension R is forced to have
-    when a fixed-point-free degenerate SL2-action on G/R comes from a
-    triple with regular semisimple element."""
-    return group_dimension(g) - g.rank + r.rank - 2
 
 
 def embedding_verdict(g: LieType, r: LieType) -> CaseVerdict:

@@ -21,6 +21,7 @@ __all__ = [
     "delta_degree",
     "is_in_kernel",
     "preserves_relations",
+    "degrees_compatible",
     "verify_compatibility_condition2",
     "verify_semicompatibility_witness",
 ]
@@ -132,14 +133,21 @@ def preserves_relations(ring: QuotientRing, d: Derivation) -> bool:
     return True
 
 
+def degrees_compatible(deg1: int | str, deg2: int | str) -> bool:
+    """The element condition for a compatible pair of locally nilpotent
+    derivations: degree exactly 1 under d1 and at most 1 under d2.  A
+    degree that is not an int (">cap", not certified) fails it."""
+    return deg1 == 1 and isinstance(deg2, int) and deg2 <= 1
+
+
 def verify_compatibility_condition2(ring: QuotientRing, d1: Derivation,
                                     d2: Derivation, a: MultiPoly,
                                     cap: int = DEFAULT_DEGREE_CAP) -> bool:
-    """True iff a has degree exactly 1 under d1 and at most 1 under d2,
-    the element condition for a compatible pair of locally nilpotent
-    derivations."""
-    return (delta_degree(ring, d1, a, cap) == 1
-            and delta_degree(ring, d2, a, cap) <= 1)
+    """True iff the delta-degrees of a under d1 and d2 are
+    degrees_compatible.  Both are certified: NotNilpotentError when
+    either exceeds the cap."""
+    return degrees_compatible(delta_degree(ring, d1, a, cap),
+                              delta_degree(ring, d2, a, cap))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ does not share code with.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .partitions import (
     Partition,
@@ -28,14 +27,12 @@ from .rootsys import LieType
 
 __all__ = [
     "OrbitCount",
-    "SubregularDatum",
     "CapacityError",
     "nilpotent_orbit_count",
     "classify_nilpotent_orbits_typeA",
     "orbit_dimension_typeA",
     "centralizer_dimension_oracle",
     "subregular_partition",
-    "subregular_datum",
 ]
 
 EXCEPTIONAL_ORBIT_COUNTS = {"G2": 5, "F4": 16, "E6": 21, "E7": 45, "E8": 70}
@@ -64,20 +61,6 @@ class OrbitCount:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("orbit count must include at least the zero orbit")
-
-
-@dataclass(frozen=True)
-class SubregularDatum:
-    """Orbit of codimension rank+2; the partition is recorded for the
-    classical cases where it labels the orbit."""
-
-    lie_type: LieType
-    partition: Partition
-    codimension: int
-
-    def __post_init__(self):
-        if self.codimension != self.lie_type.rank + 2:
-            raise ValueError("subregular codimension must be rank + 2")
 
 
 def _pair_count(total: int, lam_weight: int, mu_constraint: PartitionConstraint) -> int:
@@ -148,7 +131,7 @@ def _jordan_matrix(p: Partition) -> list[list[int]]:
     return mat
 
 
-def _rank_exact(rows: list[list[Fraction]]) -> int:
+def _rank_exact(rows: list[list["Fraction"]]) -> int:
     rank = 0
     cols = len(rows[0]) if rows else 0
     for c in range(cols):
@@ -171,6 +154,7 @@ def centralizer_dimension_oracle(p: Partition) -> int:
     """Dimension of the space of k x k matrices commuting with the
     nilpotent Jordan matrix of type p, computed as the exact kernel
     dimension of the commutator system [N, Y] = 0."""
+    from fractions import Fraction  # only the oracle needs it; off the CLI import path
     k = p.total
     if k > ORACLE_SIZE_CAP:
         raise CapacityError(
@@ -209,7 +193,3 @@ def subregular_partition(t: LieType) -> Partition:
     raise ValueError(
         f"no subregular partition recorded for {t}; supported cases:"
         f" {', '.join(_SUBREGULAR_SUPPORT)}")
-
-
-def subregular_datum(t: LieType) -> SubregularDatum:
-    return SubregularDatum(t, subregular_partition(t), t.rank + 2)

@@ -27,8 +27,6 @@ __all__ = [
     "build_root_system",
     "group_dimension",
     "positive_root_count",
-    "principal_h_eigenvalue",
-    "regular_orbit_dimension",
 ]
 
 Vector = tuple[int, ...]
@@ -201,10 +199,6 @@ _E8_SIMPLE = (
 )
 
 
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
 def _sparse(v: Vector) -> tuple[tuple[int, int], ...]:
     return tuple((k, x) for k, x in enumerate(v) if x)
 
@@ -345,12 +339,12 @@ def build_root_system(t: LieType) -> RootSystem:
 
 @lru_cache(maxsize=None)
 def positive_root_count(t: LieType) -> int:
-    """Number of positive roots.  The exceptional types and ranks <= 12
-    count the self-checked build_root_system; above that the classical
-    families use the closed forms n(n+1)/2 (A), n^2 (B, C) and n(n-1)
-    (D), which the tests match against the full build."""
+    """Number of positive roots.  The classical families use the closed
+    forms n(n+1)/2 (A), n^2 (B, C) and n(n-1) (D) at every rank, which
+    the tests match against the full build; the exceptional types count
+    the self-checked build_root_system."""
     n = t.rank
-    if t.family not in "ABCD" or n <= 12:
+    if t.family not in "ABCD":
         return len(build_root_system(t).positive_roots)
     return {"A": n * (n + 1) // 2, "D": n * (n - 1)}.get(t.family, n * n)
 
@@ -359,18 +353,3 @@ def positive_root_count(t: LieType) -> int:
 def group_dimension(t: LieType) -> int:
     """Dimension of the simple group: number of roots plus the rank."""
     return 2 * positive_root_count(t) + t.rank
-
-
-def principal_h_eigenvalue(rs: RootSystem, root: Sequence[int]) -> int:
-    """Adjoint eigenvalue, on the given positive root space, of the
-    semisimple generator of a principal sl2-triple: twice the root
-    height, hence always even and at least 2 (exactly 2 on simple
-    roots)."""
-    return 2 * rs.height(root)
-
-
-def regular_orbit_dimension(t: LieType) -> int:
-    """Dimension of the conjugation orbit of a regular element: the
-    group dimension minus the rank."""
-    n = t.rank
-    return group_dimension(t) - n

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from orbitkit import cli, embedcheck
+import orbitkit
+from orbitkit import cli, embedcheck, rootsys
 from orbitkit.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_PASS,
@@ -140,6 +145,26 @@ class TestAppendixReport:
         code, _, _ = run(capsys, "report", "appendix", "--lmax", "8")
         assert code == EXIT_PASS and calls == [8]
 
+    def test_rows_carry_their_case_record(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return identify(*args)
+
+        identify = embedcheck._identify
+        monkeypatch.setattr(embedcheck, "_identify", counting)
+        code, _, _ = run(capsys, "report", "appendix", "--lmax", "60")
+        assert code == EXIT_PASS and calls == []
+
+    def test_root_systems_built_for_exceptional_types_only(self, capsys):
+        for cached in (rootsys.build_root_system, rootsys.positive_root_count,
+                       rootsys.group_dimension):
+            cached.cache_clear()
+        code, _, _ = run(capsys, "report", "appendix", "--lmax", "60")
+        assert code == EXIT_PASS
+        assert rootsys.build_root_system.cache_info().misses == 3  # G2, F4, E6
+
     def test_bad_format_rejected(self, capsys):
         code, _, _ = run(capsys, "report", "appendix", "--format", "yaml")
         assert code == EXIT_USAGE
@@ -171,6 +196,26 @@ class TestLndVerify:
         assert line.startswith("[FAIL]")
         assert "deg_d1(a1*b2)=>0 deg_d2(a1*b2)=>0" in line
         assert "status: fail (7 records)" in out
+
+
+class TestColdProcess:
+    """The CLI as users run it: a fresh interpreter per command."""
+
+    @staticmethod
+    def python(*args):
+        env = dict(os.environ, PYTHONPATH=str(Path(orbitkit.__file__).parents[1]))
+        return subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True)
+
+    def test_import_leaves_lndcalc_unloaded(self):
+        proc = self.python("-c", "import orbitkit.cli, sys; print(sorted(m for m in"
+                                 " sys.modules if m.startswith('orbitkit.lndcalc')))")
+        assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+    def test_lnd_verify_loads_lndcalc_on_demand(self):
+        proc = self.python("-m", "orbitkit.cli", "lnd", "verify")
+        assert proc.returncode == EXIT_PASS, proc.stderr
+        assert "status: pass (7 records)" in proc.stdout
 
 
 class TestUsage:

@@ -13,7 +13,6 @@ from orbitkit.embedcheck import (
     orbit_count_criterion,
     principal_table,
     rank2_cases_report,
-    regular_case_dimension,
     subregular_membership_check,
 )
 from orbitkit.rootsys import LieType, group_dimension
@@ -110,6 +109,11 @@ class TestPrincipalTable:
         with pytest.raises(ValueError):
             principal_table(3)
 
+    def test_row_subregular_check_matches_lookup(self):
+        for row in principal_table(12):
+            g, r = row.case.g_type, row.case.r_type
+            assert row.subregular_check() == subregular_membership_check(g, r)
+
 
 class TestDimensionGap:
     def test_holds_for_a6_g2(self):
@@ -167,16 +171,6 @@ class TestSubregularMembership:
     def test_unsupported(self):
         with pytest.raises(UnsupportedCaseError):
             subregular_membership_check(T("B4"), T("D4"))
-
-
-class TestRegularCaseDimension:
-    def test_a3_b2_excludes_regular_scenario(self):
-        assert regular_case_dimension(T("A3"), T("B2")) == 12
-        assert group_dimension(T("B2")) == 10  # so a regular element is impossible
-
-    def test_arithmetic(self):
-        assert regular_case_dimension(T("A1"), T("A1")) == 1
-        assert regular_case_dimension(T("E6"), T("F4")) == 74
 
 
 class TestEmbeddingVerdict:

@@ -10,6 +10,7 @@ from orbitkit.lndcalc import (
     QuotientRing,
     RelationError,
     apply_derivation,
+    degrees_compatible,
     delta_degree,
     diagonal_torus_weight,
     hypersurface_identity_holds,
@@ -279,6 +280,14 @@ class TestCompatibility:
     def test_high_degree_fails(self, ring, derivations):
         d1, d2 = derivations
         assert not verify_compatibility_condition2(ring, d1, d2, ring.element("b1^2"))
+
+    @pytest.mark.parametrize("deg1,deg2,holds", [
+        (1, 1, True), (1, 0, True), (0, 1, False), (2, 0, False), (1, 2, False),
+        (1, ">4", False), (">4", 1, False), (">0", ">0", False),
+    ])
+    def test_rule_on_degrees(self, deg1, deg2, holds):
+        # the CLI passes ">cap" text for degrees it could not certify
+        assert degrees_compatible(deg1, deg2) is holds
 
 
 class TestTorusAction:

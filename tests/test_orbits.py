@@ -9,7 +9,6 @@ from orbitkit.orbits import (
     classify_nilpotent_orbits_typeA,
     nilpotent_orbit_count,
     orbit_dimension_typeA,
-    subregular_datum,
     subregular_partition,
 )
 from orbitkit.partitions import (
@@ -151,10 +150,6 @@ class TestSubregular:
         assert subregular_partition(T("A6")).total == 7
         assert subregular_partition(T("D5")).total == 10
         assert subregular_partition(T("B3")).total == 7
-
-    def test_datum_codimension(self):
-        assert subregular_datum(T("A4")).codimension == 6
-        assert subregular_datum(T("D6")).codimension == 8
 
     @pytest.mark.parametrize("label", ["A1", "B4", "C3", "E6", "F4", "G2"])
     def test_unsupported(self, label):

@@ -8,8 +8,6 @@ from orbitkit.rootsys import (
     build_root_system,
     group_dimension,
     positive_root_count,
-    principal_h_eigenvalue,
-    regular_orbit_dimension,
 )
 
 ALL_RANK_LE_8 = (
@@ -74,9 +72,10 @@ class TestConstruction:
     def test_eigenvalues_even_and_regular(self, t):
         rs = build_root_system(t)
         for root in rs.positive_roots:
-            e = principal_h_eigenvalue(rs, root)
-            assert e % 2 == 0 and e >= 2
-            assert (e == 2) == (root in rs.simple_roots)
+            # the principal h acts on a root space by twice the root's height
+            h = rs.heights[root]
+            assert h >= 1
+            assert (h == 1) == (root in rs.simple_roots)
 
     @pytest.mark.parametrize("t", ALL_RANK_LE_8, ids=str)
     def test_cartan_matrix_shape(self, t):
@@ -100,6 +99,7 @@ class TestConstruction:
         assert group_dimension(LieType("G", 2)) == 14
         assert positive_root_count(LieType("D", 4)) == 12
         assert group_dimension(LieType("D", 4)) == 28
+        assert group_dimension(LieType("B", 2)) == 10
 
     def test_embedding_table_gaps(self):
         assert group_dimension(LieType("B", 3)) - group_dimension(LieType("G", 2)) == 7
@@ -122,17 +122,18 @@ class TestConstruction:
                 assert group_dimension(t) == build_root_system(t).dimension, t
 
     def test_large_ranks_build_no_roots(self, monkeypatch):
-        def no_large_builds(t):
-            if t.rank > 12:
-                raise AssertionError(f"root vectors built for {t}")
-            return classical_data(t)
+        def no_classical_builds(t):
+            raise AssertionError(f"root vectors built for {t}")
 
-        classical_data = rootsys._classical_data
-        monkeypatch.setattr(rootsys, "_classical_data", no_large_builds)
+        monkeypatch.setattr(rootsys, "_classical_data", no_classical_builds)
+        build_root_system.cache_clear()
         group_dimension.cache_clear()
         positive_root_count.cache_clear()
         rows = principal_table(200)
         assert max(row.case.g_type.rank for row in rows) == 400
+        for family, minimum in (("A", 1), ("B", 2), ("C", 3), ("D", 4)):
+            for rank in range(minimum, 31):
+                positive_root_count(LieType(family, rank))
 
 
 class TestHeights:
@@ -145,13 +146,11 @@ class TestHeights:
         rs = build_root_system(LieType("A", 2))
         theta = tuple(x + y for x, y in zip(*rs.simple_roots))
         assert rs.heights[theta] == 2
-        assert principal_h_eigenvalue(rs, theta) == 4
 
     def test_g2_highest_root(self):
         rs = build_root_system(LieType("G", 2))
         highest = rs.positive_roots[-1]
         assert rs.heights[highest] == 5
-        assert principal_h_eigenvalue(rs, highest) == 10
 
     def test_highest_root_heights(self):
         # height of the highest root is the Coxeter number minus 1
@@ -164,11 +163,4 @@ class TestHeights:
     def test_unknown_root_rejected(self):
         rs = build_root_system(LieType("A", 2))
         with pytest.raises(ValueError, match="not a positive root"):
-            principal_h_eigenvalue(rs, (5, 0, -5))
-
-
-class TestRegularOrbit:
-    def test_examples(self):
-        assert regular_orbit_dimension(LieType("A", 1)) == 2
-        assert regular_orbit_dimension(LieType("A", 3)) == 12
-        assert regular_orbit_dimension(LieType("E", 6)) == 72
+            rs.height((5, 0, -5))
