@@ -8,11 +8,14 @@ Commands
     lnd verify [--cap N]                  SL2 derivation verification suite
 
 Exit codes: 0 pass, 1 check failure, 2 usage or parse error,
-3 unsupported case.  Reports go to stdout, diagnostics to stderr.
+3 unsupported case.  Reports go to stdout, diagnostics to stderr.  When
+the reader closes stdout early (`orbitkit ... | head -1`), the report is
+cut off without a traceback and the exit code is still the command's own.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -241,7 +244,7 @@ def cmd_lnd_verify(args) -> tuple[Report, int]:
     d2_preserves = preserves_relations(ring, d2)
     results.append(Record(
         kind="lnd-check", anchor="determinant relation preserved",
-        inputs={"relation": "a1*b2 - a2*b1 - 1"},
+        inputs={"relation": str(ring.relation)},
         outputs={"d1": d1_preserves, "d2": d2_preserves},
         passed=d1_preserves and d2_preserves))
 
@@ -356,7 +359,11 @@ def main(argv=None) -> int:
         return EXIT_CHECK_FAILURE
     if report.results:
         json_format = getattr(args, "format", "text") == "json"
-        print(report.to_json() if json_format else report.render_text())
+        try:
+            print(report.to_json() if json_format else report.render_text())
+        except BrokenPipeError:
+            # the reader is gone; send the flush at exit to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

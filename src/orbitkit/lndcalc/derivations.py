@@ -61,9 +61,6 @@ class Derivation:
             if img.gens != self.gens:
                 raise ValueError(f"image of {name!r} is over different generators")
 
-    def image(self, name: str) -> MultiPoly:
-        return self.images[name]
-
 
 def make_derivation(ring: QuotientRing,
                     images: Mapping[str, MultiPoly | str | int] | None = None,
@@ -91,14 +88,10 @@ def apply_derivation(ring: QuotientRing, d: Derivation, f: MultiPoly) -> MultiPo
     out: dict[Monomial, Fraction] = {}
     for mono, coef in f.terms.items():
         for i, e in enumerate(mono):
-            if not e:
-                continue
-            img = d.images[gens[i]]
-            if img.is_zero():
-                continue
-            lowered = tuple(x - 1 if k == i else x for k, x in enumerate(mono))
-            for m, c in (MultiPoly(gens, {lowered: coef * e}) * img).terms.items():
-                _add_term(out, m, c)
+            if e:
+                lowered = mono[:i] + (e - 1,) + mono[i + 1:]
+                for m, c in d.images[gens[i]].terms.items():
+                    _add_term(out, tuple(a + b for a, b in zip(lowered, m)), coef * e * c)
     return ring.normal_form(MultiPoly(gens, out))
 
 
@@ -124,13 +117,9 @@ def is_in_kernel(ring: QuotientRing, d: Derivation, f: MultiPoly) -> bool:
 
 
 def preserves_relations(ring: QuotientRing, d: Derivation) -> bool:
-    """Whether d maps every defining relation into the relation ideal,
-    i.e. descends to a derivation of the quotient."""
-    for lead, replacement in ring.rules:
-        relation = MultiPoly(ring.gens, {lead: 1}) - replacement
-        if not apply_derivation(ring, d, relation).is_zero():
-            return False
-    return True
+    """Whether d maps the ring's relation into the relation ideal, i.e.
+    descends to a derivation of the quotient."""
+    return ring.relation is None or apply_derivation(ring, d, ring.relation).is_zero()
 
 
 def degrees_compatible(deg1: int | str, deg2: int | str) -> bool:
@@ -249,24 +238,18 @@ def verify_semicompatibility_witness(ring: QuotientRing,
 
     left = list(_side_monomials(ring, k1, degree))
     right = list(_side_monomials(ring, k2, degree))
-    products = [(dl + dr, ll, lr, pl, pr)
+    # (left_label, right_label, left, right, degree): WitnessTerm's fields
+    products = [(ll, lr, pl, pr, dl + dr)
                 for dl, ll, pl in left for dr, lr, pr in right]
-    products.sort(key=lambda item: item[0])
+    products.sort(key=lambda item: item[4])
 
     span = _Span()
     one = ring.one()
-    info: list[tuple[int, str, str, MultiPoly, MultiPoly]] = []
-    for total_degree, llabel, rlabel, pleft, pright in products:
-        index = len(info)
-        info.append((total_degree, llabel, rlabel, pleft, pright))
+    for index, (_, _, pleft, pright, _) in enumerate(products):
         span.insert(index, ring.normal_form(pleft * pright))
         combo = span.express(one)
         if combo is not None:
-            terms = tuple(
-                WitnessTerm(coefficient=combo[i], left_label=info[i][1],
-                            right_label=info[i][2], left=info[i][3],
-                            right=info[i][4], degree=info[i][0])
-                for i in sorted(combo))
+            terms = tuple(WitnessTerm(combo[i], *products[i]) for i in sorted(combo))
             return WitnessReport(found=True, degree_cap=degree, combination=terms,
                                  found_degree=max(t.degree for t in terms))
     return WitnessReport(found=False, degree_cap=degree)

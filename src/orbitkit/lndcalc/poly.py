@@ -71,9 +71,6 @@ class MultiPoly:
         """Maximum monomial degree; -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.gens), Fraction(0))
-
     def _check_gens(self, other: "MultiPoly"):
         if self.gens != other.gens:
             raise ValueError(f"generator mismatch: {self.gens} vs {other.gens}")

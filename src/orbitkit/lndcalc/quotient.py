@@ -1,19 +1,22 @@
-"""Polynomial quotient rings presented by rewrite rules.
+"""Polynomial quotient rings C[gens] / (relation) with one relation.
 
-A ring is a generator list plus rules `leading monomial -> replacement
-polynomial`.  Reduction repeatedly rewrites the largest reducible
-monomial, and terminates because each rule's replacement is strictly
-below its leading monomial in the lexicographic term order (validated
-at construction).
+The relation's lead is its lexicographically largest monomial, and
+reduction rewrites the lead as lead - relation / (lead coefficient),
+whose every monomial lies below the lead.
 
-Caveat: with several rules no confluence check is performed, so normal
-forms are canonical only when the rule set happens to be a Groebner
-basis for its ideal.  The single-relation rings used here (notably
-C[SL2]) are of that kind.
+Termination: `normal_form` always rewrites the largest monomial left,
+and a rewrite adds only monomials below it, so the monomials it takes
+strictly decrease.  Lex order on exponent vectors is a well-order, so
+this stops.
+
+Confluence: one polynomial is a Groebner basis of the ideal it
+generates, so the normal form is the unique remainder of division by
+the relation, whatever the order of rewrites: f and g are equal in the
+ring exactly when their normal forms are equal.
 """
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 from .poly import Monomial, MultiPoly, _add_term, parse_poly
 
@@ -21,42 +24,29 @@ __all__ = ["QuotientRing", "RelationError"]
 
 
 class RelationError(ValueError):
-    """A rewrite rule violates the termination invariant."""
-
-
-def _divisible(mono: Monomial, lead: Monomial) -> bool:
-    return all(a >= b for a, b in zip(mono, lead))
+    """The relation is zero or constant, so it has no monomial to rewrite."""
 
 
 class QuotientRing:
-    """Free polynomial ring over named generators modulo rewrite rules."""
+    """Free polynomial ring over named generators modulo at most one
+    relation; `lead` is the relation's largest monomial, or None."""
 
-    def __init__(self, gens: Iterable[str],
-                 rules: Sequence[tuple[Mapping[str, int] | Monomial, MultiPoly]] = ()):
+    def __init__(self, gens: Iterable[str], relation: MultiPoly | None = None):
         self.gens = tuple(gens)
         if len(set(self.gens)) != len(self.gens):
             raise ValueError(f"duplicate generator names in {self.gens}")
-        normalized = []
-        for lead, replacement in rules:
-            if isinstance(lead, Mapping):
-                unknown = set(lead) - set(self.gens)
-                if unknown:
-                    raise ValueError(f"rule names unknown generators {sorted(unknown)}")
-                lead = tuple(lead.get(g, 0) for g in self.gens)
-            lead = tuple(lead)
-            if len(lead) != len(self.gens) or any(e < 0 for e in lead):
-                raise ValueError(f"bad leading monomial {lead}")
-            if not any(lead):
-                raise RelationError("leading monomial must be nonconstant")
-            if replacement.gens != self.gens:
-                raise ValueError("replacement polynomial is over different generators")
-            for mono in replacement.terms:
-                if mono >= lead:
-                    raise RelationError(
-                        f"replacement monomial {mono} is not below the leading"
-                        f" monomial {lead}; rewriting would not terminate")
-            normalized.append((lead, replacement))
-        self.rules = tuple(normalized)
+        self.relation = relation
+        self.lead: Monomial | None = None
+        if relation is None:
+            return
+        if relation.gens != self.gens:
+            raise ValueError(f"relation over {relation.gens}, ring over {self.gens}")
+        self.lead = max(relation.terms, default=(0,) * len(self.gens))
+        if not any(self.lead):
+            raise RelationError(f"relation {relation} is zero or constant")
+        scale = -1 / relation.terms[self.lead]
+        self._replacement = [(m, c * scale) for m, c in relation.terms.items()
+                             if m != self.lead]
 
     # -- element constructors ------------------------------------------
 
@@ -82,34 +72,26 @@ class QuotientRing:
 
     # -- reduction -------------------------------------------------------
 
-    def _rule_for(self, mono: Monomial):
-        for lead, replacement in self.rules:
-            if _divisible(mono, lead):
-                return lead, replacement
-        return None
-
     def normal_form(self, f: MultiPoly) -> MultiPoly:
-        """Exhaustively rewrite until no monomial is divisible by a rule
-        head.  Idempotent; f minus the result lies in the relation ideal."""
+        """Exhaustively rewrite until no monomial is divisible by the
+        lead.  Idempotent; f minus the result lies in the relation ideal."""
         if f.gens != self.gens:
             raise ValueError(f"polynomial over {f.gens}, ring over {self.gens}")
+        lead = self.lead
         work = dict(f.terms)
         done: dict[Monomial, Fraction] = {}
         while work:
             mono = max(work)
             coef = work.pop(mono)
-            rule = self._rule_for(mono)
-            if rule is None:
+            if lead is None or any(a < b for a, b in zip(mono, lead)):
                 # rewrites land below the rewritten monomial, so monomials
                 # leave `work` in decreasing order and reach `done` once
                 done[mono] = coef
                 continue
-            lead, replacement = rule
             shift = tuple(a - b for a, b in zip(mono, lead))
-            for rmono, rcoef in replacement.terms.items():
+            for rmono, rcoef in self._replacement:
                 _add_term(work, tuple(a + b for a, b in zip(shift, rmono)), coef * rcoef)
         return MultiPoly(self.gens, done)
 
     def __repr__(self):
-        heads = [str(MultiPoly(self.gens, {lead: 1})) for lead, _ in self.rules]
-        return f"QuotientRing(gens={self.gens!r}, rule_heads={heads!r})"
+        return f"QuotientRing(gens={self.gens!r}, relation={self.relation!r})"

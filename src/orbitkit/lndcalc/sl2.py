@@ -1,7 +1,8 @@
 """The coordinate ring of SL2 and its standard unipotent derivations.
 
 Generators a1, a2, b1, b2 are the matrix entries (a1 a2 / b1 b2), and
-the single rewrite a1*b2 -> a2*b1 + 1 encodes the determinant relation.
+the ring's one relation is the determinant a1*b2 - a2*b1 - 1, whose
+lead a1*b2 rewrites to a2*b1 + 1.
 The derivations generated by left multiplication by the lower and upper
 triangular unipotent subgroups are
 
@@ -37,11 +38,8 @@ DIAGONAL_TORUS_WEIGHTS = {"a1": -1, "a2": 1, "b1": -1, "b2": 1}
 
 @lru_cache(maxsize=1)
 def sl2_coordinate_ring() -> QuotientRing:
-    """C[SL2] = C[a1,a2,b1,b2] / (a1*b2 - a2*b1 - 1), with a1*b2 as the
-    rewrite head."""
-    gens = SL2_GENERATORS
-    replacement = MultiPoly(gens, {(0, 1, 1, 0): 1, (0, 0, 0, 0): 1})
-    return QuotientRing(gens, [({"a1": 1, "b2": 1}, replacement)])
+    """C[SL2] = C[a1,a2,b1,b2] / (a1*b2 - a2*b1 - 1)."""
+    return QuotientRing(SL2_GENERATORS, parse_poly("a1*b2 - a2*b1 - 1", SL2_GENERATORS))
 
 
 @lru_cache(maxsize=1)

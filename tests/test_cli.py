@@ -201,10 +201,10 @@ class TestLndVerify:
 class TestColdProcess:
     """The CLI as users run it: a fresh interpreter per command."""
 
-    @staticmethod
-    def python(*args):
-        env = dict(os.environ, PYTHONPATH=str(Path(orbitkit.__file__).parents[1]))
-        return subprocess.run([sys.executable, *args], env=env,
+    ENV = dict(os.environ, PYTHONPATH=str(Path(orbitkit.__file__).parents[1]))
+
+    def python(self, *args):
+        return subprocess.run([sys.executable, *args], env=self.ENV,
                               capture_output=True, text=True)
 
     def test_import_leaves_lndcalc_unloaded(self):
@@ -216,6 +216,19 @@ class TestColdProcess:
         proc = self.python("-m", "orbitkit.cli", "lnd", "verify")
         assert proc.returncode == EXIT_PASS, proc.stderr
         assert "status: pass (7 records)" in proc.stdout
+
+    def test_closed_stdout_ends_quietly(self):
+        # the JSON report (about 176 KB) overflows the pipe buffer, so the
+        # write hits the closed read end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "orbitkit.cli", "report", "appendix",
+             "--lmax", "50", "--format", "json"],
+            env=self.ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_PASS, err
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestUsage:

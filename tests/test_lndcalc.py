@@ -74,19 +74,35 @@ class TestQuotientRing:
 
     def test_normal_form_has_no_rule_head(self, ring):
         rng = random.Random(7)
-        lead = ring.rules[0][0]
+        assert ring.lead == (1, 0, 0, 1)
         for _ in range(50):
             nf = random_reduced(ring, rng, max_exp=3)
             for mono in nf.terms:
-                assert not all(a >= b for a, b in zip(mono, lead))
+                assert not all(a >= b for a, b in zip(mono, ring.lead))
 
-    def test_termination_invariant_enforced(self):
+    def test_zero_or_constant_relation_rejected(self):
         gens = ("x", "y")
-        bigger = MultiPoly(gens, {(2, 0): 1})
-        with pytest.raises(RelationError):
-            QuotientRing(gens, [((1, 1), bigger)])
-        with pytest.raises(RelationError):
-            QuotientRing(gens, [((0, 0), MultiPoly.zero(gens))])
+        for relation in (MultiPoly.zero(gens), MultiPoly.constant(gens, 3)):
+            with pytest.raises(RelationError):
+                QuotientRing(gens, relation)
+
+    def test_relation_over_other_generators_rejected(self):
+        with pytest.raises(ValueError):
+            QuotientRing(("x", "y"), parse_poly("x - y", ("x", "y", "z")))
+
+    def test_lead_is_lex_largest_monomial(self):
+        gens = ("x", "y")
+        for text in ("y^3 - x", "-x + y^3", "x - y^3"):
+            ring = QuotientRing(gens, parse_poly(text, gens))
+            assert ring.lead == (1, 0)
+            assert str(ring.element("x^2*y")) == "y^7"
+
+    def test_lead_coefficient_normalised(self):
+        gens = ("x", "y")
+        ring = QuotientRing(gens, parse_poly("-y^2 + 2*x*y - 2", gens))
+        assert ring.lead == (1, 1)
+        assert str(ring.element("x*y")) == "1/2*y^2 + 1"
+        assert ring.normal_form(ring.relation).is_zero()
 
     def test_gen_mismatch(self, ring):
         with pytest.raises(ValueError):
@@ -116,6 +132,23 @@ class TestDerivations:
     def test_non_preserving_derivation_detected(self, ring):
         d = make_derivation(ring, a1="a1")
         assert not preserves_relations(ring, d)
+
+    def test_leibniz_sum_builds_no_throwaway_polynomials(self, ring, derivations,
+                                                         monkeypatch):
+        d1, _ = derivations
+        f = ring.element("a1*b1^2 + a2*b1*b2 + b2^3")
+        built = []
+        init = MultiPoly.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MultiPoly, "__init__", counting_init)
+        result = apply_derivation(ring, d1, f)
+        assert len(built) == 2  # the Leibniz sum and its normal form
+        monkeypatch.undo()
+        assert str(result) == "2*a1^2*b1 + 2*a2^2*b1 + 3*a2*b2^2 + a2"
 
     def test_leibniz_rule_sampled(self, ring, derivations):
         rng = random.Random(424242)

@@ -1,10 +1,17 @@
-"""Property tests: the text round trip of polynomials, normal-form
-idempotence on C[SL2], and conjugation of partitions as an involution."""
+"""Property tests: the text round trip of polynomials, normal forms on
+C[SL2] and on random one-relation rings, and conjugation of partitions
+as an involution."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitkit.lndcalc import MultiPoly, parse_poly, poly_to_text, sl2_coordinate_ring
+from orbitkit.lndcalc import (
+    MultiPoly,
+    QuotientRing,
+    parse_poly,
+    poly_to_text,
+    sl2_coordinate_ring,
+)
 from orbitkit.partitions import Partition, conjugate_partition
 
 GENS = ("a1", "a2", "b1", "b2")
@@ -23,6 +30,24 @@ def polynomials(draw):
     return MultiPoly(GENS, terms)
 
 
+@st.composite
+def one_relation_rings(draw):
+    """A ring over 2 or 3 generators with a random nonconstant relation,
+    and two elements f, g; exponents stay at most 2."""
+    gens = draw(st.sampled_from((("x", "y"), ("x", "y", "z"))))
+    small = st.tuples(*[st.integers(0, 2)] * len(gens))
+    nonzero = coefficients.filter(bool)
+
+    def poly(min_size=0):
+        return MultiPoly(gens, draw(st.dictionaries(small, nonzero, min_size=min_size,
+                                                    max_size=4)))
+
+    relation = poly(min_size=1)
+    if not any(max(relation.terms)):
+        relation = relation + MultiPoly.generator(gens, draw(st.sampled_from(gens)))
+    return QuotientRing(gens, relation), poly(), poly()
+
+
 partitions = st.lists(st.integers(1, 12), max_size=10).map(
     lambda parts: Partition(sorted(parts, reverse=True)))
 
@@ -39,6 +64,16 @@ def test_normal_form_idempotent(p):
     ring = sl2_coordinate_ring()
     once = ring.normal_form(p)
     assert ring.normal_form(once) == once
+
+
+@SMALL
+@given(one_relation_rings())
+def test_one_relation_normal_form_is_canonical(case):
+    ring, f, g = case
+    nf_f, nf_g = ring.normal_form(f), ring.normal_form(g)
+    assert ring.normal_form(ring.relation).is_zero()
+    assert ring.normal_form(nf_f) == nf_f
+    assert ring.normal_form(f * g) == ring.normal_form(nf_f * nf_g)
 
 
 @SMALL
