@@ -47,9 +47,9 @@ EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
-# Input caps: `orbits B2000` counts in under a second and
-# `report appendix --lmax 500` in about a second.
-ORBITS_RANK_CAP = 2000
+# Input caps: `orbits B2000` and `embed D2000 B1999` answer in under a
+# second, `report appendix --lmax 500` in about a second.
+RANK_CAP = 2000
 LMAX_CAP = 500
 
 
@@ -148,10 +148,18 @@ def _verdict_record(v: CaseVerdict, anchor: str) -> Record:
 # -- command handlers ----------------------------------------------------
 
 
+def _over_rank_cap(*types: LieType) -> bool:
+    """True, after one line on stderr, when a rank exceeds RANK_CAP."""
+    for t in types:
+        if t.rank > RANK_CAP:
+            print(f"rank must be at most {RANK_CAP}, got {t}", file=sys.stderr)
+            return True
+    return False
+
+
 def cmd_orbits(args) -> tuple[Report, int]:
     t = LieType.from_string(args.type)
-    if t.rank > ORBITS_RANK_CAP:
-        print(f"rank must be at most {ORBITS_RANK_CAP}, got {t}", file=sys.stderr)
+    if _over_rank_cap(t):
         return Report(command=f"orbits {args.type}"), EXIT_USAGE
     oc = nilpotent_orbit_count(t)
     record = Record(
@@ -165,6 +173,8 @@ def cmd_orbits(args) -> tuple[Report, int]:
 def cmd_embed(args) -> tuple[Report, int]:
     g = LieType.from_string(args.g)
     r = LieType.from_string(args.r)
+    if _over_rank_cap(g, r):
+        return Report(command=_embed_command(args)), EXIT_USAGE
     verdict = embedding_verdict(g, r)
     if args.l is not None and verdict.case.family_parameter != args.l:
         print(f"--l {args.l} does not match the family parameter"

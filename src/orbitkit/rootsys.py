@@ -3,19 +3,19 @@
 Realizations use the standard ambient coordinates: A_n lives in n+1
 coordinates summing to zero, B/C/D_n in n coordinates, G_2 in three
 sum-zero coordinates, and the E/F systems in coordinates scaled by 2 so
-that every root vector is integral.  Exceptional systems are generated
-by closing the simple roots under simple reflections driven by the
-Cartan matrix; classical systems are written down directly.
+that every root vector is integral.  Every type is built one way: the
+Cartan matrix is computed from the ambient simple roots, and the positive
+roots are the simple roots closed under the simple reflections.
 
-Every constructed system is self-checked: each positive root must have
-a unique nonnegative-integer expansion in the simple roots, and the
-Cartan matrix recomputed from inner products must match expectations.
+Self-checks raise RootSystemConsistencyError: a non-integral Cartan
+pairing, a G2/F4 matrix unlike its table, a Cartan entry out of range
+(checked before the closure runs), a mixed-sign reflected root, or a
+height-1 root that is not simple.
 """
 
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -108,79 +108,8 @@ class RootSystem:
         return self.heights[key]
 
 
-def _unit(n: int, i: int, value: int = 1) -> Vector:
-    v = [0] * n
-    v[i] = value
-    return tuple(v)
-
-
-def _vec(dim: int, entries: dict[int, int]) -> Vector:
-    v = [0] * dim
-    for k, val in entries.items():
-        v[k] = val
-    return tuple(v)
-
-
-def _classical_data(t: LieType):
-    """(ambient dim, simple roots, positive roots, expansion solver)."""
-    n = t.rank
-    fam = t.family
-
-    if fam == "A":
-        dim = n + 1
-        simple = tuple(_vec(dim, {i: 1, i + 1: -1}) for i in range(n))
-        positive = [_vec(dim, {i: 1, j: -1})
-                    for i in range(dim) for j in range(i + 1, dim)]
-
-        def expand(v: Vector) -> tuple[int, ...]:
-            return tuple(accumulate(v[:n]))
-
-        return dim, simple, positive, expand
-
-    dim = n
-    extra = []
-    if fam == "B":
-        last = _unit(n, n - 1)
-        extra = [_unit(n, i) for i in range(n)]
-    elif fam == "C":
-        last = _unit(n, n - 1, 2)
-        extra = [_unit(n, i, 2) for i in range(n)]
-    else:  # D
-        last = _vec(n, {n - 2: 1, n - 1: 1})
-    simple = tuple(_vec(n, {i: 1, i + 1: -1}) for i in range(n - 1)) + (last,)
-    positive = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            positive.append(_vec(n, {i: 1, j: -1}))
-            positive.append(_vec(n, {i: 1, j: 1}))
-    positive.extend(extra)
-
-    if fam == "B":
-        def expand(v: Vector) -> tuple[int, ...]:
-            return tuple(accumulate(v))
-    elif fam == "C":
-        def expand(v: Vector) -> tuple[int, ...]:
-            out = list(accumulate(v[: n - 1]))
-            half, rem = divmod(v[n - 1] + out[n - 2], 2)
-            if rem:
-                raise RootSystemConsistencyError(f"non-integral expansion of {v} in {t}")
-            out.append(half)
-            return tuple(out)
-    else:
-        def expand(v: Vector) -> tuple[int, ...]:
-            out = list(accumulate(v[: n - 2]))
-            half, rem = divmod(v[n - 2] + v[n - 1] + out[n - 3], 2)
-            if rem:
-                raise RootSystemConsistencyError(f"non-integral expansion of {v} in {t}")
-            out.append(half - v[n - 1])
-            out.append(half)
-            return tuple(out)
-
-    return dim, simple, positive, expand
-
-
 # Exceptional simple roots (coordinates doubled where the textbook
-# realization uses halves) and their Cartan matrices.
+# realization uses halves) and the Cartan matrices they must give.
 _G2_SIMPLE = ((1, -1, 0), (-2, 1, 1))
 _G2_CARTAN = ((2, -1), (-3, 2))
 
@@ -199,21 +128,43 @@ _E8_SIMPLE = (
 )
 
 
+def _simple_roots(t: LieType) -> tuple[Vector, ...]:
+    """Ambient simple roots: the chain e_i - e_(i+1), closed by e_n (B),
+    2e_n (C) or e_(n-1) + e_n (D); the tables above for G2, F4, E6-E8."""
+    if t.family == "G":
+        return _G2_SIMPLE
+    if t.family == "F":
+        return _F4_SIMPLE
+    if t.family == "E":
+        return _E8_SIMPLE[: t.rank]
+    n = t.rank
+    dim = n + 1 if t.family == "A" else n
+    roots = [[0] * dim for _ in range(n)]
+    for i in range(dim - 1):
+        roots[i][i], roots[i][i + 1] = 1, -1
+    if t.family != "A":
+        roots[-1][-1] = 2 if t.family == "C" else 1
+        if t.family == "D":
+            roots[-1][-2] = 1
+    return tuple(map(tuple, roots))
+
+
 def _sparse(v: Vector) -> tuple[tuple[int, int], ...]:
     return tuple((k, x) for k, x in enumerate(v) if x)
 
 
 def _cartan_from_simple(simple: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
-    # Simple roots have few nonzero entries, so pair them sparsely; the
-    # naive dense double loop is quadratic-times-ambient and shows up at
-    # rank ~100.
+    """Entry (i, j) is 2(a_i, a_j)/(a_j, a_j); raises unless integral."""
+    # A classical simple root has at most two nonzero entries, so sparse
+    # pairing costs rank^2 rather than rank^2 * dim (a third of the dense
+    # time over the rank <= 30 builds in the tests).
     sparse = [_sparse(a) for a in simple]
+    maps = [dict(s) for s in sparse]
     norms = [sum(x * x for _, x in s) for s in sparse]
     rows = []
     for sa in sparse:
         row = []
-        for sb, den in zip(sparse, norms):
-            bmap = dict(sb)
+        for bmap, den in zip(maps, norms):
             num = 2 * sum(x * bmap.get(k, 0) for k, x in sa)
             if num % den:
                 raise RootSystemConsistencyError(
@@ -223,53 +174,41 @@ def _cartan_from_simple(simple: Sequence[Vector]) -> tuple[tuple[int, ...], ...]
     return tuple(rows)
 
 
-def _closure_from_cartan(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """All roots as coefficient vectors over the simple roots, generated
-    by repeated simple reflections."""
+def _closure_from_cartan(cartan: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
+    """Positive roots as coefficient vectors over the simple roots.
+
+    s_j(c) = c - <c, a_j^v> a_j permutes the positive roots other than a_j
+    (Humphreys, Introduction to Lie Algebras, 10.2), and every positive
+    root of height > 1 is s_j of a lower one, so closing the simple roots
+    under the s_j, dropping -a_j, yields them all."""
     rank = len(cartan)
-    roots = {_unit(rank, i) for i in range(rank)}
-    frontier = set(roots)
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in cartan]
+    roots = {tuple(int(i == j) for j in range(rank)) for i in range(rank)}
+    frontier = list(roots)
     while frontier:
-        fresh = set()
+        fresh = []
         for c in frontier:
-            for j in range(rank):
-                pairing = sum(c[i] * cartan[i][j] for i in range(rank))
+            pairings = [0] * rank
+            for i, ci in enumerate(c):
+                if ci:
+                    for j, x in rows[i]:
+                        pairings[j] += ci * x
+            for j, p in enumerate(pairings):
+                if not p:
+                    continue
                 image = list(c)
-                image[j] -= pairing
+                image[j] -= p
+                if image[j] < 0:
+                    if any(x > 0 for x in image):
+                        raise RootSystemConsistencyError(
+                            f"mixed-sign root coefficients {tuple(image)}")
+                    continue
                 image = tuple(image)
                 if image not in roots:
                     roots.add(image)
-                    fresh.add(image)
+                    fresh.append(image)
         frontier = fresh
-    for c in roots:
-        if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
-            raise RootSystemConsistencyError(f"mixed-sign root coefficients {c}")
-    return sorted(c for c in roots if all(x >= 0 for x in c))
-
-
-def _exceptional_data(t: LieType):
-    if t.family == "G":
-        simple, cartan = _G2_SIMPLE, _G2_CARTAN
-    elif t.family == "F":
-        simple, cartan = _F4_SIMPLE, _F4_CARTAN
-    else:
-        simple = _E8_SIMPLE[: t.rank]
-        cartan = _cartan_from_simple(simple)
-    coeff_roots = _closure_from_cartan(cartan)
-    dim = len(simple[0])
-    positive = []
-    expansions = {}
-    for coeffs in coeff_roots:
-        vec = [0] * dim
-        for c, alpha in zip(coeffs, simple):
-            if c:
-                for k, a in enumerate(alpha):
-                    if a:
-                        vec[k] += c * a
-        vec = tuple(vec)
-        positive.append(vec)
-        expansions[vec] = coeffs
-    return dim, tuple(simple), positive, cartan, expansions
+    return roots
 
 
 def _recombine(sparse_simple, coeffs: Sequence[int], dim: int) -> Vector:
@@ -288,19 +227,12 @@ def build_root_system(t: LieType) -> RootSystem:
     Positive roots are ordered by (height, lexicographic), so repeated
     builds are identical.
     """
-    if t.family in "ABCD":
-        dim, simple, positive, expand = _classical_data(t)
-        cartan = _cartan_from_simple(simple)
-        expansions = {}
-        for v in positive:
-            coeffs = expand(v)
-            expansions[v] = coeffs
-    else:
-        dim, simple, positive, cartan, expansions = _exceptional_data(t)
-        if _cartan_from_simple(simple) != tuple(tuple(row) for row in cartan):
-            raise RootSystemConsistencyError(
-                f"ambient Cartan matrix disagrees with table for {t}")
-
+    simple = _simple_roots(t)
+    cartan = _cartan_from_simple(simple)
+    table = {"G": _G2_CARTAN, "F": _F4_CARTAN}.get(t.family)
+    if table is not None and cartan != table:
+        raise RootSystemConsistencyError(
+            f"ambient Cartan matrix disagrees with table for {t}")
     for i, row in enumerate(cartan):
         if row[i] != 2:
             raise RootSystemConsistencyError(f"Cartan diagonal entry {row[i]} != 2 in {t}")
@@ -310,30 +242,20 @@ def build_root_system(t: LieType) -> RootSystem:
                     f"Cartan off-diagonal entry {entry} out of range in {t}")
 
     sparse_simple = [_sparse(a) for a in simple]
-    heights = {}
-    for v in positive:
-        coeffs = expansions[v]
-        if any(c < 0 for c in coeffs):
-            raise RootSystemConsistencyError(f"negative expansion coefficient for {v} in {t}")
-        if _recombine(sparse_simple, coeffs, dim) != v:
-            raise RootSystemConsistencyError(f"expansion of {v} does not recombine in {t}")
-        h = sum(coeffs)
-        if h < 1:
-            raise RootSystemConsistencyError(f"nonpositive height for {v} in {t}")
-        heights[v] = h
-
-    order = sorted(positive, key=lambda v: (heights[v], v))
-    for v in order:
-        if (heights[v] == 1) != (v in simple):
+    dim = len(simple[0])
+    roots = sorted((sum(c), _recombine(sparse_simple, c, dim), c)
+                   for c in _closure_from_cartan(cartan))
+    for h, v, _ in roots:
+        if (h == 1) != (v in simple):
             raise RootSystemConsistencyError(f"height-1 roots must be simple; offender {v} in {t}")
 
     return RootSystem(
         lie_type=t,
-        simple_roots=tuple(simple),
-        positive_roots=tuple(order),
-        heights=MappingProxyType(heights),
-        expansions=MappingProxyType(expansions),
-        cartan_matrix=tuple(tuple(row) for row in cartan),
+        simple_roots=simple,
+        positive_roots=tuple(v for _, v, _ in roots),
+        heights=MappingProxyType({v: h for h, v, _ in roots}),
+        expansions=MappingProxyType({v: c for _, v, c in roots}),
+        cartan_matrix=cartan,
     )
 
 

@@ -14,7 +14,7 @@ from orbitkit.cli import (
     EXIT_UNSUPPORTED,
     EXIT_USAGE,
     LMAX_CAP,
-    ORBITS_RANK_CAP,
+    RANK_CAP,
     Report,
     main,
 )
@@ -43,10 +43,10 @@ class TestOrbitsCommand:
         assert out == "" and "Z9" in err
 
     def test_rank_cap(self, capsys):
-        code, out, err = run(capsys, "orbits", f"A{ORBITS_RANK_CAP + 1}")
+        code, out, err = run(capsys, "orbits", f"A{RANK_CAP + 1}")
         assert code == EXIT_USAGE and out == ""
         assert err == "rank must be at most 2000, got A2001\n"
-        code, out, _ = run(capsys, "orbits", f"A{ORBITS_RANK_CAP}")
+        code, out, _ = run(capsys, "orbits", f"A{RANK_CAP}")
         assert code == EXIT_PASS and "count=" in out
 
 
@@ -76,6 +76,15 @@ class TestEmbedCommand:
         code, out, _ = run(capsys, "embed", "A3", "C2")
         assert code == EXIT_PASS
         assert "A3 > B2" in out
+
+    def test_rank_cap(self, capsys):
+        code, out, err = run(capsys, "embed", "A4002", "B2001")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "rank must be at most 2000, got A4002\n"
+        code, out, err = run(capsys, "embed", "A3", "B2001")
+        assert code == EXIT_USAGE and err == "rank must be at most 2000, got B2001\n"
+        code, out, _ = run(capsys, "embed", f"D{RANK_CAP}", f"B{RANK_CAP - 1}")
+        assert code == EXIT_PASS and "D2000 > B1999" in out
 
 
 class TestAppendixReport:

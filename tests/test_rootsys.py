@@ -5,6 +5,7 @@ from orbitkit.embedcheck import principal_table
 from orbitkit.rootsys import (
     InvalidLieTypeError,
     LieType,
+    RootSystemConsistencyError,
     build_root_system,
     group_dimension,
     positive_root_count,
@@ -122,10 +123,14 @@ class TestConstruction:
                 assert group_dimension(t) == build_root_system(t).dimension, t
 
     def test_large_ranks_build_no_roots(self, monkeypatch):
-        def no_classical_builds(t):
-            raise AssertionError(f"root vectors built for {t}")
+        simple_roots = rootsys._simple_roots
 
-        monkeypatch.setattr(rootsys, "_classical_data", no_classical_builds)
+        def no_classical_builds(t):
+            if t.family in "ABCD":
+                raise AssertionError(f"root vectors built for {t}")
+            return simple_roots(t)
+
+        monkeypatch.setattr(rootsys, "_simple_roots", no_classical_builds)
         build_root_system.cache_clear()
         group_dimension.cache_clear()
         positive_root_count.cache_clear()
@@ -134,6 +139,67 @@ class TestConstruction:
         for family, minimum in (("A", 1), ("B", 2), ("C", 3), ("D", 4)):
             for rank in range(minimum, 31):
                 positive_root_count(LieType(family, rank))
+
+
+def textbook_positive_roots(t: LieType) -> set:
+    """Positive roots of a classical type from their textbook description:
+    e_i - e_j (i < j) in n + 1 coordinates for A_n; e_i - e_j and
+    e_i + e_j (i < j), plus e_i (B) or 2e_i (C), for B/C/D_n."""
+    n = t.rank
+
+    def e(*pairs):
+        v = [0] * (n + 1 if t.family == "A" else n)
+        for k, x in pairs:
+            v[k] += x
+        return tuple(v)
+
+    if t.family == "A":
+        return {e((i, 1), (j, -1)) for i in range(n + 1) for j in range(i + 1, n + 1)}
+    roots = {e((i, 1), (j, s)) for i in range(n) for j in range(i + 1, n) for s in (1, -1)}
+    if t.family in "BC":
+        roots |= {e((i, 1 if t.family == "B" else 2)) for i in range(n)}
+    return roots
+
+
+@pytest.mark.parametrize("t", [LieType(f, n) for f, m in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+                               for n in range(m, 13)], ids=str)
+def test_classical_builds_match_textbook_roots(t):
+    rs = build_root_system(t)
+    assert len(rs.positive_roots) == len(set(rs.positive_roots))
+    assert set(rs.positive_roots) == textbook_positive_roots(t)
+
+
+class TestSelfChecks:
+    """Each check that corrupted simple roots can reach raises before the
+    closure runs."""
+
+    @pytest.fixture
+    def corrupt(self, monkeypatch):
+        def no_closure(cartan):
+            raise AssertionError("closure ran on corrupted data")
+
+        def install(roots):
+            monkeypatch.setattr(rootsys, "_simple_roots", lambda t: roots)
+            build_root_system.cache_clear()
+
+        monkeypatch.setattr(rootsys, "_closure_from_cartan", no_closure)
+        yield install
+        build_root_system.cache_clear()
+
+    def test_g2_table_mismatch(self, corrupt):
+        corrupt(rootsys._G2_SIMPLE[::-1])
+        with pytest.raises(RootSystemConsistencyError, match="disagrees with table for G2"):
+            build_root_system(LieType("G", 2))
+
+    def test_non_integral_pairing(self, corrupt):
+        corrupt(((3, 0), (1, 1)))
+        with pytest.raises(RootSystemConsistencyError, match="non-integral Cartan pairing"):
+            build_root_system(LieType("A", 2))
+
+    def test_off_diagonal_out_of_range(self, corrupt):
+        corrupt(((1, -1, 0), (-2, 2, 0)))
+        with pytest.raises(RootSystemConsistencyError, match="entry -4 out of range in A2"):
+            build_root_system(LieType("A", 2))
 
 
 class TestHeights:
