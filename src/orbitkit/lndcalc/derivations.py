@@ -5,8 +5,7 @@ certifies semi-compatibility of two locally nilpotent derivations.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .poly import Monomial, MultiPoly, _add_term, _signed_sum, poly_to_text
 from .quotient import QuotientRing
@@ -171,49 +170,41 @@ def _label(p: MultiPoly) -> str:
     return f"({text})" if len(p.terms) > 1 else text
 
 
-def _side_monomials(ring: QuotientRing, elements: Sequence[MultiPoly], degree: int):
-    """Products of 1..degree elements with repetition, in deterministic
-    order; yields (factor count, label, reduced product)."""
-    for d in range(1, degree + 1):
-        for combo in combinations_with_replacement(range(len(elements)), d):
-            prod = ring.one()
-            for i in combo:
-                prod = prod * elements[i]
-            label = "*".join(_label(elements[i]) for i in combo)
-            yield d, label, ring.normal_form(prod)
+def _level(ring: QuotientRing, levels: list, d: int) -> list:
+    """(last factor index, label, reduced product) for the products of d
+    kernel elements of one side (levels[0]) with repetition, in
+    combinations_with_replacement order; built from level d - 1 on first use."""
+    base = levels[0]
+    while len(levels) < d:
+        levels.append([(i, f"{label}*{base[i][1]}", ring.normal_form(p * base[i][2]))
+                       for last, label, p in levels[-1] for i in range(last, len(base))])
+    return levels[d - 1]
 
 
 class _Span:
-    """Incremental exact span with bookkeeping to express new members of
-    the span as combinations of the inserted vectors."""
+    """Incremental exact row echelon form: each row is keyed by its
+    largest monomial and carries the combination of inserted vectors it equals."""
 
     def __init__(self):
         self.rows: dict[Monomial, tuple[dict[Monomial, Fraction], dict[int, Fraction]]] = {}
 
-    def _reduce(self, vec: dict[Monomial, Fraction], combo: dict[int, Fraction]):
+    def insert(self, index: int, p: MultiPoly) -> dict[int, Fraction] | None:
+        """Add p as vector `index`; return the combination equal to 1 once 1
+        is in the span.  The constant monomial is the smallest, so that is
+        exactly when a row is keyed by it."""
+        vec, combo = dict(p.terms), {index: Fraction(1)}
         while vec:
             pivot = max(vec)
             if pivot not in self.rows:
-                return vec, combo, pivot
+                self.rows[pivot] = (vec, combo)
+                return None if any(pivot) else {i: c / vec[pivot] for i, c in combo.items()}
             rvec, rcombo = self.rows[pivot]
             factor = vec[pivot] / rvec[pivot]
             for m, c in rvec.items():
                 _add_term(vec, m, -factor * c)
             for i, c in rcombo.items():
                 _add_term(combo, i, -factor * c)
-        return vec, combo, None
-
-    def insert(self, index: int, p: MultiPoly):
-        vec, combo, pivot = self._reduce(dict(p.terms), {index: Fraction(1)})
-        if pivot is not None:
-            self.rows[pivot] = (vec, combo)
-
-    def express(self, p: MultiPoly) -> dict[int, Fraction] | None:
-        """Combination of inserted vectors equal to p, or None."""
-        vec, combo, pivot = self._reduce(dict(p.terms), {})
-        if pivot is not None:
-            return None
-        return {i: -c for i, c in combo.items()}
+        return None
 
 
 def verify_semicompatibility_witness(ring: QuotientRing,
@@ -223,10 +214,15 @@ def verify_semicompatibility_witness(ring: QuotientRing,
                                      degree: int = 3) -> WitnessReport:
     """Search Span(products of kernel monomials) for the constant 1.
 
-    Monomials in the given kernel elements up to the degree bound are
-    multiplied pairwise across the two kernels, reduced, and fed to an
-    exact linear solver.  On success the report carries the explicit
-    combination; each claimed kernel element is verified first.
+    Each claimed kernel element is verified first.  The walk then goes
+    over the total factor count 2 .. 2*degree, within a total over the
+    left factor count ascending, and within that over the left and then
+    the right side's products of at most `degree` kernel elements; each
+    product is reduced and added to an exact span, and the walk stops as
+    soon as 1 is in it.  A side's products with d factors are built when
+    the walk first reaches them, so the cost follows the degree of the
+    answer, not the bound.  On success the report carries the explicit
+    combination and the total where the walk stopped.
     """
     k1 = [ring.normal_form(f) for f in kernel1]
     k2 = [ring.normal_form(f) for f in kernel2]
@@ -236,20 +232,18 @@ def verify_semicompatibility_witness(ring: QuotientRing,
                 raise KernelMembershipError(
                     f"{poly_to_text(f)} is not in the kernel of the {side} derivation")
 
-    left = list(_side_monomials(ring, k1, degree))
-    right = list(_side_monomials(ring, k2, degree))
-    # (left_label, right_label, left, right, degree): WitnessTerm's fields
-    products = [(ll, lr, pl, pr, dl + dr)
-                for dl, ll, pl in left for dr, lr, pr in right]
-    products.sort(key=lambda item: item[4])
-
+    left = [[(i, _label(f), f) for i, f in enumerate(k1)]]
+    right = [[(i, _label(f), f) for i, f in enumerate(k2)]]
     span = _Span()
-    one = ring.one()
-    for index, (_, _, pleft, pright, _) in enumerate(products):
-        span.insert(index, ring.normal_form(pleft * pright))
-        combo = span.express(one)
-        if combo is not None:
-            terms = tuple(WitnessTerm(combo[i], *products[i]) for i in sorted(combo))
-            return WitnessReport(found=True, degree_cap=degree, combination=terms,
-                                 found_degree=max(t.degree for t in terms))
+    visited = []  # (left_label, right_label, left, right, degree): WitnessTerm's fields
+    for total in range(2, 2 * degree + 1):
+        for dl in range(max(1, total - degree), min(degree, total - 1) + 1):
+            for _, llabel, pleft in _level(ring, left, dl):
+                for _, rlabel, pright in _level(ring, right, total - dl):
+                    visited.append((llabel, rlabel, pleft, pright, total))
+                    combo = span.insert(len(visited) - 1, ring.normal_form(pleft * pright))
+                    if combo is not None:
+                        terms = tuple(WitnessTerm(combo[i], *visited[i]) for i in sorted(combo))
+                        return WitnessReport(found=True, degree_cap=degree,
+                                             combination=terms, found_degree=total)
     return WitnessReport(found=False, degree_cap=degree)

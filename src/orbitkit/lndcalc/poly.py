@@ -35,7 +35,7 @@ class MultiPoly:
         clean: dict[Monomial, Fraction] = {}
         for mono, coef in (terms or {}).items():
             mono = tuple(mono)
-            if len(mono) != len(gens) or any(e < 0 or not isinstance(e, int) for e in mono):
+            if len(mono) != len(gens) or any(not isinstance(e, int) or e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono} for generators {gens}")
             coef = Fraction(coef)
             if coef:

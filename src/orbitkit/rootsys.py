@@ -7,9 +7,12 @@ that every root vector is integral.  Every type is built one way: the
 Cartan matrix is computed from the ambient simple roots, and the positive
 roots are the simple roots closed under the simple reflections.
 
-Self-checks raise RootSystemConsistencyError: a non-integral Cartan
-pairing, a G2/F4 matrix unlike its table, a Cartan entry out of range
-(checked before the closure runs), a mixed-sign reflected root, or a
+Self-checks raise RootSystemConsistencyError.  Before the closure runs:
+a zero simple root, a non-integral Cartan pairing, a G2/F4 matrix unlike
+its table, an off-diagonal Cartan entry outside 0..-3, or a singular
+Cartan matrix.  Nonzero Euclidean simple roots with such entries and a
+nonzero determinant are independent, so their Cartan matrix is of finite
+type and the closure ends.  After it: a mixed-sign reflected root, or a
 height-1 root that is not simple.
 """
 
@@ -154,13 +157,16 @@ def _sparse(v: Vector) -> tuple[tuple[int, int], ...]:
 
 
 def _cartan_from_simple(simple: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
-    """Entry (i, j) is 2(a_i, a_j)/(a_j, a_j); raises unless integral."""
+    """Entry (i, j) is 2(a_i, a_j)/(a_j, a_j); raises unless every root is
+    nonzero (so the diagonal is exactly 2) and every entry integral."""
     # A classical simple root has at most two nonzero entries, so sparse
     # pairing costs rank^2 rather than rank^2 * dim (a third of the dense
     # time over the rank <= 30 builds in the tests).
     sparse = [_sparse(a) for a in simple]
     maps = [dict(s) for s in sparse]
     norms = [sum(x * x for _, x in s) for s in sparse]
+    if 0 in norms:
+        raise RootSystemConsistencyError(f"simple root {norms.index(0) + 1} is zero")
     rows = []
     for sa in sparse:
         row = []
@@ -172,6 +178,25 @@ def _cartan_from_simple(simple: Sequence[Vector]) -> tuple[tuple[int, ...], ...]
             row.append(num // den)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def _determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant by Bareiss fraction-free elimination:
+    every division is exact, so entries stay integers."""
+    a = [list(row) for row in matrix]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def _closure_from_cartan(cartan: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
@@ -234,12 +259,13 @@ def build_root_system(t: LieType) -> RootSystem:
         raise RootSystemConsistencyError(
             f"ambient Cartan matrix disagrees with table for {t}")
     for i, row in enumerate(cartan):
-        if row[i] != 2:
-            raise RootSystemConsistencyError(f"Cartan diagonal entry {row[i]} != 2 in {t}")
         for j, entry in enumerate(row):
             if i != j and entry not in (0, -1, -2, -3):
                 raise RootSystemConsistencyError(
                     f"Cartan off-diagonal entry {entry} out of range in {t}")
+    if not _determinant(cartan):
+        raise RootSystemConsistencyError(
+            f"singular Cartan matrix in {t}: the simple roots are dependent")
 
     sparse_simple = [_sparse(a) for a in simple]
     dim = len(simple[0])

@@ -254,20 +254,43 @@ class TestWitnessSearch:
         assert report.equation() == "1 = a1*b2 - a2*b1"
         assert report.found_degree == 2
 
-    @pytest.mark.parametrize("kernel1, kernel2, equation", [
-        (["2*a1", "3*a2"], ["b1", "b2"], "1 = 1/2*2*a1*b2 - 1/3*3*a2*b1"),
-        (["a2", "a1"], ["2*b2", "b1"], "1 = -a2*b1 + 1/2*a1*2*b2"),
+    @pytest.mark.parametrize("kernel1, kernel2, equation, found_degree", [
+        (["2*a1", "3*a2"], ["b1", "b2"], "1 = 1/2*2*a1*b2 - 1/3*3*a2*b1", 2),
+        (["a2", "a1"], ["2*b2", "b1"], "1 = -a2*b1 + 1/2*a1*2*b2", 2),
         (["2*a1 + a2", "a1 - a2"], ["b1", "3*b2"],
          "1 = -1/3*(2*a1 + a2)*b1 + 1/9*(2*a1 + a2)*3*b2"
-         " + 2/3*(a1 - a2)*b1 + 1/9*(a1 - a2)*3*b2"),
-    ], ids=["scaled", "reordered", "mixed"])
+         " + 2/3*(a1 - a2)*b1 + 1/9*(a1 - a2)*3*b2", 2),
+        (["a1", "a2"], ["b1^2", "b2"], "1 = 2*a1*b2 + a2*a2*b1^2 - a1*a1*b2*b2", 4),
+    ], ids=["scaled", "reordered", "mixed", "degree-4"])
     def test_equation_with_non_unit_coefficients(self, ring, derivations,
-                                                 kernel1, kernel2, equation):
+                                                 kernel1, kernel2, equation, found_degree):
         d1, d2 = derivations
         report = verify_semicompatibility_witness(
             ring, d1, d2, [ring.element(t) for t in kernel1],
             [ring.element(t) for t in kernel2])
         assert report.equation() == equation
+        assert report.found_degree == found_degree
+
+    def test_search_builds_products_lazily(self, ring, derivations, monkeypatch):
+        # a degree-2 witness at degree bound 8: products with more factors
+        # are never built, so normal_form runs a few dozen times, not a
+        # thousand
+        d1, d2 = derivations
+        k1 = [ring.element(t) for t in ("a1", "a2", "a1 + a2", "a1 - a2")]
+        k2 = [ring.element(t) for t in ("b1", "b2", "b1 + b2", "b1 - b2")]
+        calls = 0
+        original = QuotientRing.normal_form
+
+        def counting(self, f):
+            nonlocal calls
+            calls += 1
+            return original(self, f)
+
+        monkeypatch.setattr(QuotientRing, "normal_form", counting)
+        report = verify_semicompatibility_witness(ring, d1, d2, k1, k2, degree=8)
+        assert report.equation() == "1 = a1*b2 - a2*b1"
+        assert report.found_degree == 2
+        assert calls < 50
 
     def test_witness_combination_evaluates_to_one(self, ring, derivations):
         d1, d2 = derivations

@@ -92,6 +92,12 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             MultiPoly(GENS, {(-1, 0, 0, 0): 1})
 
+    @pytest.mark.parametrize("exponent", ["1", None, 1.5])
+    def test_non_integer_exponent_is_a_bad_vector(self, exponent):
+        # the type is tested before the sign, so "1" < 0 never runs
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            MultiPoly(("x",), {(exponent,): 1})
+
 
 class TestTextFormat:
     @pytest.mark.parametrize("text,expected", [

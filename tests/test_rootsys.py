@@ -201,6 +201,18 @@ class TestSelfChecks:
         with pytest.raises(RootSystemConsistencyError, match="entry -4 out of range in A2"):
             build_root_system(LieType("A", 2))
 
+    def test_zero_root(self, corrupt):
+        corrupt(((0, 0, 0), (1, -1, 0)))
+        with pytest.raises(RootSystemConsistencyError, match="simple root 1 is zero"):
+            build_root_system(LieType("A", 2))
+
+    def test_dependent_roots(self, corrupt):
+        # Cartan [[2, -2], [-2, 2]] (affine A1) passes the range checks;
+        # the reflection closure on it would never end
+        corrupt(((1, -1, 0), (-1, 1, 0)))
+        with pytest.raises(RootSystemConsistencyError, match="singular Cartan matrix in A2"):
+            build_root_system(LieType("A", 2))
+
 
 class TestHeights:
     def test_simple_roots_have_height_one(self):
