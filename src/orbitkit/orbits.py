@@ -9,11 +9,12 @@ orbit.  The D_m count is the verbatim pair-of-partitions formula; it
 does not double very even partitions (see OrbitCount.notes).
 
 The centralizer oracle recomputes Jordan-type centralizer dimensions
-from scratch, by solving the commutator linear system exactly, so the
-conjugate-partition dimension formula is tested against something it
-does not share code with.
+from scratch, by solving the commutator linear system exactly with
+fraction-free integer elimination, so the conjugate-partition dimension
+formula is tested against something it does not share code with.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .partitions import (
@@ -131,7 +132,11 @@ def _jordan_matrix(p: Partition) -> list[list[int]]:
     return mat
 
 
-def _rank_exact(rows: list[list["Fraction"]]) -> int:
+def _rank_exact(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix, eliminating in place without fractions:
+    each row r below the pivot row becomes lead*r - f*pivot_row, divided
+    by the gcd of its entries.  Scaling a row by a nonzero integer leaves
+    the rank unchanged, and the gcd keeps the entries small."""
     rank = 0
     cols = len(rows[0]) if rows else 0
     for c in range(cols):
@@ -139,11 +144,14 @@ def _rank_exact(rows: list[list["Fraction"]]) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][c]
+        pivot_row = rows[rank]
+        lead = pivot_row[c]
         for r in range(rank + 1, len(rows)):
-            if rows[r][c]:
-                f = rows[r][c] / lead
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+            f = rows[r][c]
+            if f:
+                row = [lead * a - f * b for a, b in zip(rows[r], pivot_row)]
+                g = math.gcd(*row)
+                rows[r] = [a // g for a in row] if g > 1 else row
         rank += 1
         if rank == len(rows):
             break
@@ -154,7 +162,6 @@ def centralizer_dimension_oracle(p: Partition) -> int:
     """Dimension of the space of k x k matrices commuting with the
     nilpotent Jordan matrix of type p, computed as the exact kernel
     dimension of the commutator system [N, Y] = 0."""
-    from fractions import Fraction  # only the oracle needs it; off the CLI import path
     k = p.total
     if k > ORACLE_SIZE_CAP:
         raise CapacityError(
@@ -166,7 +173,7 @@ def centralizer_dimension_oracle(p: Partition) -> int:
     for i in range(k):
         for j in range(k):
             # coefficient of Y[t][s] in (NY - YN)[i][j]
-            row = [Fraction(0)] * (k * k)
+            row = [0] * (k * k)
             for t in range(k):
                 if n[i][t]:
                     row[t * k + j] += n[i][t]

@@ -2,9 +2,16 @@
 multiplicity predicates used to classify nilpotent orbits in the
 classical matrix algebras.
 
+Enumeration is Zoghbi and Stojmenovic's iterative ZS1 ("Fast algorithms
+for generating integer partitions", Int. J. Comput. Math. 70, 1998),
+which yields the partitions of n in lexicographically decreasing order.
+A constrained enumeration filters that one stream, so it costs O(p(n))
+whatever the constraint.
+
 All values are immutable and all functions are pure.
 """
 
+import operator
 from collections import Counter
 from enum import Enum
 from typing import Iterator
@@ -32,32 +39,41 @@ class Partition:
 
     The empty partition () is the unique partition of 0.  Instances are
     immutable, hashable, and ordered lexicographically on their parts.
+    Parts below 256 are stored as bytes, which halves the memory of a
+    full enumeration; `parts` is always a tuple.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("_packed",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
-        for i, p in enumerate(parts):
-            if p < 1:
-                raise ValueError(f"parts must be positive, got {p}")
-            if i > 0 and parts[i - 1] < p:
-                raise ValueError(f"parts must be weakly decreasing: {parts}")
-        object.__setattr__(self, "parts", parts)
+        parts = tuple(map(operator.index, parts))  # refuses floats and strings
+        # one pass when valid; the loop names the first bad part
+        if parts and not (parts[-1] >= 1 and all(map(operator.ge, parts, parts[1:]))):
+            for i, p in enumerate(parts):
+                if p < 1:
+                    raise ValueError(f"parts must be positive, got {p}")
+                if i > 0 and parts[i - 1] < p:
+                    raise ValueError(f"parts must be weakly decreasing: {parts}")
+        object.__setattr__(self, "_packed",
+                           bytes(parts) if parts and parts[0] < 256 else parts)
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
     @property
+    def parts(self) -> tuple[int, ...]:
+        return tuple(self._packed)
+
+    @property
     def total(self) -> int:
-        return sum(self.parts)
+        return sum(self._packed)
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram."""
-        if not self.parts:
+        if not self._packed:
             return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
+        cols = [0] * self._packed[0]
+        for p in self._packed:
             for i in range(p):
                 cols[i] += 1
         return Partition(cols)
@@ -66,16 +82,16 @@ class Partition:
         return self.parts.count(value)
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return len(self._packed)
 
     def __iter__(self):
-        return iter(self.parts)
+        return iter(self._packed)
 
     def __getitem__(self, i):
         return self.parts[i]
 
     def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
+        return isinstance(other, Partition) and self._packed == other._packed
 
     def __hash__(self):
         return hash(self.parts)
@@ -99,18 +115,37 @@ def _admits(p: int, constraint: PartitionConstraint) -> bool:
     return True
 
 
-def _gen(n: int, max_part: int, constraint: PartitionConstraint,
-         prefix: list[int]) -> Iterator[Partition]:
-    if n == 0:
-        yield Partition(prefix)
-        return
-    distinct = constraint is not PartitionConstraint.UNRESTRICTED
-    for p in range(min(n, max_part), 0, -1):
-        if not _admits(p, constraint):
-            continue
-        prefix.append(p)
-        yield from _gen(n - p, p - 1 if distinct else p, constraint, prefix)
-        prefix.pop()
+def _zs1(n: int) -> Iterator[tuple[int, ...]]:
+    """Every partition of n >= 1 as a tuple of parts, in lexicographically
+    decreasing order (ZS1).  x[:m] is the current partition, every part
+    after x[h] is 1, and x[m:] holds only 1s."""
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:
+            # ..., 2, 1, ..., 1 -> ..., 1, 1, ..., 1, 1
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            # lower x[h] by one and refill the tail with parts of size r
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
 
 
 def enumerate_partitions(n: int,
@@ -123,7 +158,13 @@ def enumerate_partitions(n: int,
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative total: {n}")
-    return list(_gen(n, n, constraint, []))
+    if n == 0:
+        return [Partition()]
+    stream = _zs1(n)
+    if constraint is not PartitionConstraint.UNRESTRICTED:
+        stream = (p for p in stream if all(map(operator.gt, p, p[1:]))
+                  and all(_admits(q, constraint) for q in p))
+    return list(map(Partition, stream))
 
 
 # One count table per constraint: _TABLES[c][n] is the number of

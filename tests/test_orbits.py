@@ -1,4 +1,6 @@
+import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -98,6 +100,51 @@ class TestTypeAClassification:
             classify_nilpotent_orbits_typeA(0)
 
 
+def fraction_rank(matrix):
+    """Rank by Gaussian elimination over Fraction; shares no code with
+    orbits._rank_exact."""
+    rows = [[Fraction(a) for a in row] for row in matrix]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] / rows[rank][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestRankExact:
+    @pytest.mark.parametrize("matrix,rank", [
+        ([[2, 4], [1, 2]], 1),
+        ([[2, 1], [1, 2]], 2),
+        ([[6, 4], [9, 6]], 1),
+        ([[4, 6, 2], [6, 9, 3], [2, 3, 5]], 2),
+        ([[3, 5], [5, 3], [7, 11]], 2),
+        ([[0, 0], [0, 0]], 0),
+        ([], 0),
+    ], ids=str)
+    def test_non_unit_pivots(self, matrix, rank):
+        assert orbits._rank_exact([row[:] for row in matrix]) == rank
+
+    def test_random_matrices_match_fraction_elimination(self):
+        rng = random.Random(20260)
+        for _ in range(300):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            matrix = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
+                      for _ in range(m)]
+            if rng.random() < 0.5 and m > 1:  # force a dependent row
+                i, j = rng.sample(range(m), 2)
+                a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+                matrix[i] = [a * x + b * y for x, y in zip(matrix[i], matrix[j])]
+            expected = fraction_rank(matrix)
+            assert orbits._rank_exact([row[:] for row in matrix]) == expected, matrix
+
+
 class TestDimensions:
     def test_examples(self):
         assert orbit_dimension_typeA(Partition((1, 1, 1))) == 0
@@ -125,6 +172,10 @@ class TestDimensions:
             p = Partition(parts)
             expected = sum(q * q for q in conjugate_partition(p))
             assert centralizer_dimension_oracle(p) == expected, p
+
+    def test_dimension_rejects_non_integer_parts(self):
+        with pytest.raises(TypeError):
+            orbit_dimension_typeA(Partition((2.9, 1.9)))
 
     def test_oracle_cap(self):
         with pytest.raises(CapacityError):

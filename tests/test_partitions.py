@@ -75,6 +75,16 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition((3, 0))
 
+    @pytest.mark.parametrize("parts", [(2.7, 1), ("3", True), (2.9, 1.9), (3.0,)],
+                             ids=str)
+    def test_rejects_non_integer_parts(self, parts):
+        # int() would truncate these to a valid partition
+        with pytest.raises(TypeError):
+            Partition(parts)
+
+    def test_accepts_integer_like_parts(self):
+        assert Partition((True,)) == Partition((1,))
+
     def test_immutable_and_hashable(self):
         p = Partition((2, 2))
         with pytest.raises(AttributeError):
@@ -85,8 +95,53 @@ class TestPartitionType:
         assert Partition((3, 3, 1)).multiplicity(3) == 2
         assert Partition((3, 3, 1)).multiplicity(2) == 0
 
+    @pytest.mark.parametrize("parts", [(255, 1), (256, 1), (300, 300, 2), (2**70, 5)], ids=str)
+    def test_parts_on_both_sides_of_256(self, parts):
+        # parts below 256 are stored packed, larger ones as a tuple
+        p = Partition(parts)
+        assert p.parts == parts and type(p.parts) is tuple
+        assert list(p) == list(parts) and len(p) == len(parts) and p[0] == parts[0]
+        assert p[1:] == parts[1:] and p.total == sum(parts)
+        assert hash(p) == hash(parts) and p == Partition(list(parts))
+        assert p.multiplicity(parts[0]) == parts.count(parts[0])
+        assert p.multiplicity(-1) == 0 and p.multiplicity(1000) == parts.count(1000)
+        assert repr(p) == f"Partition{parts!r}"
+
+    def test_order_across_256(self):
+        assert Partition((255, 45)) < Partition((256,)) < Partition((256, 1))
+        assert sorted([Partition((300,)), Partition((2, 1)), Partition((255, 45))]) == [
+            Partition((2, 1)), Partition((255, 45)), Partition((300,))]
+
+
+def reference_partitions(n, max_part, constraint, prefix=()):
+    """Recursive generator, largest first part first; shares no code
+    with the package enumeration."""
+    if n == 0:
+        yield prefix
+        return
+    distinct = constraint is not U
+    for p in range(min(n, max_part), 0, -1):
+        if constraint is DO and p % 2 == 0:
+            continue
+        yield from reference_partitions(n - p, p - 1 if distinct else p, constraint,
+                                        prefix + (p,))
+
 
 class TestEnumeration:
+    @pytest.mark.parametrize("c", [U, D, DO], ids=lambda c: c.value)
+    def test_matches_reference_in_order_to_30(self, c):
+        for n in range(31):
+            got = [p.parts for p in enumerate_partitions(n, c)]
+            assert got == list(reference_partitions(n, n, c)), n
+
+    def test_partitions_of_41(self):
+        ps = enumerate_partitions(41)
+        assert len(ps) == 44583
+        assert ps[0] == Partition((41,))
+        assert ps[1] == Partition((40, 1))
+        assert ps[-2] == Partition((2,) + (1,) * 39)
+        assert ps[-1] == Partition((1,) * 41)
+
     def test_partitions_of_four(self):
         got = [tuple(p) for p in enumerate_partitions(4)]
         assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]

@@ -1,7 +1,10 @@
 """Property tests: the text round trip of polynomials, normal forms on
-C[SL2] and on random one-relation rings, and conjugation of partitions
-as an involution."""
+C[SL2] and on random one-relation rings, the partition constructor's
+validation, and conjugation of partitions as an involution."""
 
+import re
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +77,23 @@ def test_one_relation_normal_form_is_canonical(case):
     assert ring.normal_form(ring.relation).is_zero()
     assert ring.normal_form(nf_f) == nf_f
     assert ring.normal_form(f * g) == ring.normal_form(nf_f * nf_g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2, 8), max_size=8))
+def test_partition_rejects_exactly_the_invalid_lists(parts):
+    # first index whose part is nonpositive or larger than its predecessor
+    bad = next((i for i, p in enumerate(parts) if p < 1 or (i and parts[i - 1] < p)),
+               None)
+    if bad is None:
+        assert Partition(parts).parts == tuple(parts)
+        return
+    if parts[bad] < 1:
+        message = f"parts must be positive, got {parts[bad]}"
+    else:
+        message = f"parts must be weakly decreasing: {tuple(parts)}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        Partition(parts)
 
 
 @SMALL
