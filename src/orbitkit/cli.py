@@ -8,18 +8,19 @@ Commands
     lnd verify [--cap N]                  SL2 derivation verification suite
 
 Exit codes: 0 pass, 1 check failure, 2 usage or parse error,
-3 unsupported case.  Reports go to stdout, diagnostics to stderr.  When
-the reader closes stdout early (`orbitkit ... | head -1`), the report is
-cut off without a traceback and the exit code is still the command's own.
+3 unsupported case.  The report goes to stdout as text or JSON; the JSON
+is output only, nothing here reads it back.  A refused input (an
+argument out of range, a type that does not parse) leaves stdout empty
+and prints one line on stderr, with exit 2.  When the reader closes
+stdout early (`orbitkit ... | head -1`), the report is cut off without
+a traceback and the exit code is still the command's own.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any
+from dataclasses import dataclass
 
 from . import __version__
 from .embedcheck import (
@@ -39,7 +40,7 @@ from .rootsys import InvalidLieTypeError, LieType
 # lndcalc is imported inside the `lnd` handlers: no other command uses
 # it, and every cold process would pay for loading it.
 
-__all__ = ["Record", "Report", "main", "console_main",
+__all__ = ["Record", "Report", "UsageError", "main", "console_main",
            "EXIT_PASS", "EXIT_CHECK_FAILURE", "EXIT_USAGE", "EXIT_UNSUPPORTED"]
 
 EXIT_PASS = 0
@@ -53,20 +54,14 @@ RANK_CAP = 2000
 LMAX_CAP = 500
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    return str(value)
+class UsageError(ValueError):
+    """An argument the command refuses; `main` prints the message and exits 2."""
 
 
 @dataclass
 class Record:
+    """One checked claim; `inputs` and `outputs` hold JSON values only."""
+
     kind: str  # orbit-count | table-row | verdict | lnd-check
     anchor: str
     inputs: dict
@@ -74,59 +69,40 @@ class Record:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "anchor": self.anchor,
-                "inputs": _jsonable(self.inputs), "outputs": _jsonable(self.outputs),
-                "pass": self.passed}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Record":
-        return cls(kind=data["kind"], anchor=data["anchor"], inputs=data["inputs"],
-                   outputs=data["outputs"], passed=data["pass"])
+        return {"kind": self.kind, "anchor": self.anchor, "inputs": self.inputs,
+                "outputs": self.outputs, "pass": self.passed}
 
     def text_line(self) -> str:
-        detail = " ".join(f"{k}={v}" for k, v in _jsonable(self.outputs).items()
-                          if v is not None)
+        detail = " ".join(f"{k}={v}" for k, v in self.outputs.items() if v is not None)
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.anchor}: {detail}"
 
 
 @dataclass
 class Report:
     command: str
-    results: list[Record] = field(default_factory=list)
-    tool_version: str = __version__
+    results: list[Record]
 
     @property
     def status(self) -> str:
-        if not self.results:
-            return "partial"
         return "pass" if all(r.passed for r in self.results) else "fail"
 
     def to_dict(self) -> dict:
-        return {"version": self.tool_version, "command": self.command,
+        return {"version": __version__, "command": self.command,
                 "status": self.status, "results": [r.to_dict() for r in self.results]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        report = cls(command=data["command"],
-                     results=[Record.from_dict(r) for r in data["results"]],
-                     tool_version=data["version"])
-        if report.status != data["status"]:
-            raise ValueError(f"inconsistent status field: {data['status']}")
-        return report
-
     def render_text(self) -> str:
-        lines = [f"orbitkit {self.tool_version} -- {self.command}"]
+        lines = [f"orbitkit {__version__} -- {self.command}"]
         lines += [r.text_line() for r in self.results]
         lines.append(f"status: {self.status} ({len(self.results)} records)")
         return "\n".join(lines)
 
 
 def _verdict_outputs(v: CaseVerdict) -> dict:
-    out: dict[str, Any] = {"criterion": v.criterion, "witness": v.witness,
-                           "holds": v.holds, **v.numbers}
+    out = {"criterion": v.criterion.value, "witness": v.witness.value,
+           "holds": v.holds, **v.numbers}
     if v.partition is not None:
         out["partition"] = str(v.partition)
     if v.citation is not None:
@@ -148,19 +124,15 @@ def _verdict_record(v: CaseVerdict, anchor: str) -> Record:
 # -- command handlers ----------------------------------------------------
 
 
-def _over_rank_cap(*types: LieType) -> bool:
-    """True, after one line on stderr, when a rank exceeds RANK_CAP."""
+def _check_rank_cap(*types: LieType) -> None:
     for t in types:
         if t.rank > RANK_CAP:
-            print(f"rank must be at most {RANK_CAP}, got {t}", file=sys.stderr)
-            return True
-    return False
+            raise UsageError(f"rank must be at most {RANK_CAP}, got {t}")
 
 
 def cmd_orbits(args) -> tuple[Report, int]:
     t = LieType.from_string(args.type)
-    if _over_rank_cap(t):
-        return Report(command=f"orbits {args.type}"), EXIT_USAGE
+    _check_rank_cap(t)
     oc = nilpotent_orbit_count(t)
     record = Record(
         kind="orbit-count", anchor=f"nilpotent orbit count {t}",
@@ -173,29 +145,21 @@ def cmd_orbits(args) -> tuple[Report, int]:
 def cmd_embed(args) -> tuple[Report, int]:
     g = LieType.from_string(args.g)
     r = LieType.from_string(args.r)
-    if _over_rank_cap(g, r):
-        return Report(command=_embed_command(args)), EXIT_USAGE
+    _check_rank_cap(g, r)
     verdict = embedding_verdict(g, r)
     if args.l is not None and verdict.case.family_parameter != args.l:
-        print(f"--l {args.l} does not match the family parameter"
-              f" {verdict.case.family_parameter} of {g} > {r}", file=sys.stderr)
-        return Report(command=_embed_command(args)), EXIT_USAGE
+        raise UsageError(f"--l {args.l} does not match the family parameter"
+                         f" {verdict.case.family_parameter} of {g} > {r}")
     record = _verdict_record(verdict, f"embedding verdict: {g} > {r}")
     code = EXIT_PASS if verdict.holds and verdict.witness is not Witness.NONE \
         else EXIT_CHECK_FAILURE
-    return Report(command=_embed_command(args), results=[record]), code
-
-
-def _embed_command(args) -> str:
     extra = f" --l {args.l}" if args.l is not None else ""
-    return f"embed {args.g} {args.r}{extra}"
+    return Report(command=f"embed {args.g} {args.r}{extra}", results=[record]), code
 
 
 def cmd_report_appendix(args) -> tuple[Report, int]:
     if not 4 <= args.lmax <= LMAX_CAP:
-        print(f"--lmax must be between 4 and {LMAX_CAP}, got {args.lmax}",
-              file=sys.stderr)
-        return Report(command="report appendix"), EXIT_USAGE
+        raise UsageError(f"--lmax must be between 4 and {LMAX_CAP}, got {args.lmax}")
     results = [_verdict_record(v, f"orbit-count case ({v.numbers['case']}): {v.case}")
                for v in rank2_cases_report(args.lmax)]
     rows = principal_table(args.lmax)
@@ -233,8 +197,7 @@ def _degree(ring, d, f, cap) -> int | str:
 def cmd_lnd_verify(args) -> tuple[Report, int]:
     cap = args.cap
     if cap < 0:
-        print(f"--cap must be at least 0, got {cap}", file=sys.stderr)
-        return Report(command=f"lnd verify --cap {cap}"), EXIT_USAGE
+        raise UsageError(f"--cap must be at least 0, got {cap}")
     from .lndcalc import (
         degrees_compatible,
         hypersurface_identity_holds,
@@ -358,6 +321,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         report, code = args.handler(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except InvalidLieTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -367,13 +333,12 @@ def main(argv=None) -> int:
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
-    if report.results:
-        json_format = getattr(args, "format", "text") == "json"
-        try:
-            print(report.to_json() if json_format else report.render_text())
-        except BrokenPipeError:
-            # the reader is gone; send the flush at exit to devnull
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    json_format = getattr(args, "format", "text") == "json"
+    try:
+        print(report.to_json() if json_format else report.render_text())
+    except BrokenPipeError:
+        # the reader is gone; send the flush at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

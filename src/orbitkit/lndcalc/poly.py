@@ -1,9 +1,10 @@
 """Sparse multivariate polynomials over the rationals.
 
 Coefficients are exact `fractions.Fraction` values; there is no floating
-point anywhere in this package.  A polynomial is a map from exponent
-vectors (one slot per named generator, in a fixed order) to nonzero
-coefficients, e.g. over generators ("a1", "a2", "b1", "b2")
+point anywhere in this package: a float or string coefficient raises
+TypeError (text goes through `parse_poly`).  A polynomial is a map from
+exponent vectors (one slot per named generator, in a fixed order) to
+nonzero coefficients, e.g. over generators ("a1", "a2", "b1", "b2")
 
     a1*b2 - a2*b1 - 1   <->   {(1,0,0,1): 1, (0,1,1,0): -1, (0,0,0,0): -1}
 
@@ -37,6 +38,8 @@ class MultiPoly:
             mono = tuple(mono)
             if len(mono) != len(gens) or any(not isinstance(e, int) or e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono} for generators {gens}")
+            if not isinstance(coef, (int, Fraction)):
+                raise TypeError(f"coefficient {coef!r} is not an int or a Fraction")
             coef = Fraction(coef)
             if coef:
                 clean[mono] = coef
@@ -78,7 +81,7 @@ class MultiPoly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(self.gens, other)
         self._check_gens(other)
         out = dict(self.terms)
@@ -92,14 +95,14 @@ class MultiPoly:
         return MultiPoly(self.gens, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, MultiPoly) else -Fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly(self.gens, {m: c * other for m, c in self.terms.items()})
+        if not isinstance(other, MultiPoly):
+            other = MultiPoly.constant(self.gens, other)
         self._check_gens(other)
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():

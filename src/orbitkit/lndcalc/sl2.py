@@ -13,6 +13,7 @@ column by t^-1 and the second by t, giving the generator weights used
 for the invariant-ring checks.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .derivations import Derivation, make_derivation, preserves_relations
@@ -80,7 +81,7 @@ def hypersurface_identity_holds() -> bool:
     """Whether u*v - z^2 + 1/4 vanishes in C[SL2]."""
     ring = sl2_coordinate_ring()
     u, v, z = sl2_invariant_generators()
-    return ring.normal_form(u * v - z * z + ring.constant("1/4")).is_zero()
+    return ring.normal_form(u * v - z * z + ring.constant(Fraction(1, 4))).is_zero()
 
 
 def sign_flip_fixes_hypersurface() -> bool:

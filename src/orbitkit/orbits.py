@@ -14,7 +14,6 @@ fraction-free integer elimination, so the conjugate-partition dimension
 formula is tested against something it does not share code with.
 """
 
-import math
 from dataclasses import dataclass, field
 
 from .partitions import (
@@ -24,7 +23,7 @@ from .partitions import (
     count_partitions,
     enumerate_partitions,
 )
-from .rootsys import LieType
+from .rootsys import LieType, _rank_exact
 
 __all__ = [
     "OrbitCount",
@@ -130,32 +129,6 @@ def _jordan_matrix(p: Partition) -> list[list[int]]:
             mat[r][r + 1] = 1
         offset += size
     return mat
-
-
-def _rank_exact(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix, eliminating in place without fractions:
-    each row r below the pivot row becomes lead*r - f*pivot_row, divided
-    by the gcd of its entries.  Scaling a row by a nonzero integer leaves
-    the rank unchanged, and the gcd keeps the entries small."""
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pivot_row = rows[rank]
-        lead = pivot_row[c]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][c]
-            if f:
-                row = [lead * a - f * b for a, b in zip(rows[r], pivot_row)]
-                g = math.gcd(*row)
-                rows[r] = [a // g for a in row] if g > 1 else row
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def centralizer_dimension_oracle(p: Partition) -> int:

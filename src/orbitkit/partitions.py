@@ -60,6 +60,10 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not through __setattr__
+        return (Partition, (self.parts,))
+
     @property
     def parts(self) -> tuple[int, ...]:
         return tuple(self._packed)
@@ -67,16 +71,6 @@ class Partition:
     @property
     def total(self) -> int:
         return sum(self._packed)
-
-    def conjugate(self) -> "Partition":
-        """Transpose of the Young diagram."""
-        if not self._packed:
-            return Partition()
-        cols = [0] * self._packed[0]
-        for p in self._packed:
-            for i in range(p):
-                cols[i] += 1
-        return Partition(cols)
 
     def multiplicity(self, value: int) -> int:
         return self.parts.count(value)
@@ -206,8 +200,12 @@ def count_partitions(n: int,
 
 
 def conjugate_partition(p: Partition) -> Partition:
-    """Transpose partition; an involution preserving the total."""
-    return p.conjugate()
+    """Transpose of the Young diagram; an involution preserving the total."""
+    cols = [0] * max(p, default=0)
+    for part in p:
+        for i in range(part):
+            cols[i] += 1
+    return Partition(cols)
 
 
 def is_symplectic_partition(p: Partition) -> bool:

@@ -11,11 +11,12 @@ Self-checks raise RootSystemConsistencyError.  Before the closure runs:
 a zero simple root, a non-integral Cartan pairing, a G2/F4 matrix unlike
 its table, an off-diagonal Cartan entry outside 0..-3, or a singular
 Cartan matrix.  Nonzero Euclidean simple roots with such entries and a
-nonzero determinant are independent, so their Cartan matrix is of finite
-type and the closure ends.  After it: a mixed-sign reflected root, or a
-height-1 root that is not simple.
+Cartan matrix of full rank are independent, so their Cartan matrix is
+of finite type and the closure ends.  After it: a mixed-sign reflected
+root, or a height-1 root that is not simple.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -180,23 +181,30 @@ def _cartan_from_simple(simple: Sequence[Vector]) -> tuple[tuple[int, ...], ...]
     return tuple(rows)
 
 
-def _determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by Bareiss fraction-free elimination:
-    every division is exact, so entries stay integers."""
-    a = [list(row) for row in matrix]
-    n, sign, prev = len(a), 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
+def _rank_exact(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix, eliminating in place without fractions:
+    each row r below the pivot row becomes lead*r - f*pivot_row, divided
+    by the gcd of its entries.  Scaling a row by a nonzero integer leaves
+    the rank unchanged, and the gcd keeps the entries small."""
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for c in range(cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pivot_row = rows[rank]
+        lead = pivot_row[c]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c]
+            if f:
+                row = [lead * a - f * b for a, b in zip(rows[r], pivot_row)]
+                g = math.gcd(*row)
+                rows[r] = [a // g for a in row] if g > 1 else row
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 def _closure_from_cartan(cartan: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
@@ -263,7 +271,7 @@ def build_root_system(t: LieType) -> RootSystem:
             if i != j and entry not in (0, -1, -2, -3):
                 raise RootSystemConsistencyError(
                     f"Cartan off-diagonal entry {entry} out of range in {t}")
-    if not _determinant(cartan):
+    if _rank_exact([list(row) for row in cartan]) < len(cartan):
         raise RootSystemConsistencyError(
             f"singular Cartan matrix in {t}: the simple roots are dependent")
 

@@ -15,7 +15,6 @@ from orbitkit.cli import (
     EXIT_USAGE,
     LMAX_CAP,
     RANK_CAP,
-    Report,
     main,
 )
 
@@ -70,7 +69,8 @@ class TestEmbedCommand:
         code, out, _ = run(capsys, "embed", "A9", "C5", "--l", "5")
         assert code == EXIT_PASS
         code, out, err = run(capsys, "embed", "A9", "C5", "--l", "4")
-        assert code == EXIT_USAGE
+        assert code == EXIT_USAGE and out == ""
+        assert err == "--l 4 does not match the family parameter 5 of A9 > C5\n"
 
     def test_alias_c2(self, capsys):
         code, out, _ = run(capsys, "embed", "A3", "C2")
@@ -101,14 +101,26 @@ class TestAppendixReport:
         assert "rank_plus_3=7" in line and "dim_gap=7" in line
         assert "gap_exceeds=False" in line
 
-    def test_json_round_trip(self, capsys):
+    def test_json_schema(self, capsys):
+        """The report's keys, its records' keys, and a status that is
+        "pass" exactly when every record passes; checked on a passing
+        appendix and on the failing `lnd verify --cap 0` report."""
         code, out, _ = run(capsys, "report", "appendix", "--lmax", "5",
                            "--format", "json")
         assert code == EXIT_PASS
-        data = json.loads(out)
-        assert data["status"] == "pass"
-        report = Report.from_dict(data)
-        assert report.to_dict() == data
+        args = cli.build_parser().parse_args(["lnd", "verify", "--cap", "0"])
+        failing, code = args.handler(args)
+        assert code == EXIT_CHECK_FAILURE
+        for data, status in ((json.loads(out), "pass"), (failing.to_dict(), "fail")):
+            assert list(data) == ["version", "command", "status", "results"]
+            assert data["version"] == orbitkit.__version__
+            for record in data["results"]:
+                assert list(record) == ["kind", "anchor", "inputs", "outputs", "pass"]
+                assert isinstance(record["pass"], bool)
+            assert data["status"] == status
+            assert (status == "pass") == all(r["pass"] for r in data["results"])
+        # records hold JSON values as built: nothing is converted on output
+        assert json.loads(failing.to_json()) == failing.to_dict()
 
     def test_json_and_text_carry_identical_records(self, capsys):
         code, text_out, _ = run(capsys, "report", "appendix", "--lmax", "5")
@@ -134,6 +146,7 @@ class TestAppendixReport:
     def test_lmax_too_small(self, capsys):
         code, out, err = run(capsys, "report", "appendix", "--lmax", "3")
         assert code == EXIT_USAGE and out == ""
+        assert err == "--lmax must be between 4 and 500, got 3\n"
 
     @pytest.mark.parametrize("lmax", [LMAX_CAP + 1, 10 ** 9])
     def test_lmax_cap(self, capsys, lmax):

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from orbitkit import embedcheck
@@ -190,6 +192,11 @@ class TestEmbeddingVerdict:
         assert v.criterion is Criterion.SUBREGULAR_PARTITION
         assert tuple(v.partition) == (5, 3)
         assert v.numbers["gap"] == 7 and v.numbers["bound"] == 7
+
+    def test_verdict_with_partition_deep_copies(self):
+        v = embedding_verdict(T("D4"), T("B3"))
+        w = copy.deepcopy(v)
+        assert w == v and w.partition == v.partition and w.partition is not None
 
     def test_e6_f4_cited(self):
         v = embedding_verdict(T("E6"), T("F4"))

@@ -1,8 +1,11 @@
 """Byte-for-byte gates on CLI output.
 
-The files under tests/data were written by the CLI before the case
-analysis was restated as one table; any change to a record, its order,
-or the key order of its outputs shows up here as a diff.
+The files under tests/data were written by the CLI before the code
+behind it was restated: the JSON appendix and the embed pairs before the
+case analysis became one table, the text appendix and `lnd verify`
+before the report records were built as JSON values.  Any change to a
+record, its order, or the key order of its outputs shows up here as a
+diff.
 """
 
 from pathlib import Path
@@ -25,6 +28,21 @@ def test_appendix_json_lmax12(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (DATA / "appendix_lmax12.json").read_text()
+
+
+def test_appendix_text_lmax12(capsys):
+    code = main(["report", "appendix", "--lmax", "12"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (DATA / "appendix_lmax12.txt").read_text()
+
+
+def test_lnd_verify_default_and_cap_0(capsys):
+    chunks = []
+    for argv in (["lnd", "verify"], ["lnd", "verify", "--cap", "0"]):
+        code = main(argv)
+        chunks.append(f"$ orbitkit {' '.join(argv)}\n{capsys.readouterr().out}exit {code}\n")
+    assert "".join(chunks) == (DATA / "lnd_verify.txt").read_text()
 
 
 def test_embed_every_supported_pair(capsys):

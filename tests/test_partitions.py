@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from orbitkit import partitions
@@ -106,6 +109,14 @@ class TestPartitionType:
         assert p.multiplicity(parts[0]) == parts.count(parts[0])
         assert p.multiplicity(-1) == 0 and p.multiplicity(1000) == parts.count(1000)
         assert repr(p) == f"Partition{parts!r}"
+
+    @pytest.mark.parametrize("parts", [(), (3, 1), (255, 1), (256, 1), (2**70, 5)], ids=str)
+    def test_copy_and_pickle(self, parts):
+        # copies are rebuilt by the constructor, so the guard on
+        # assignment above does not stop them
+        p = Partition(parts)
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and q.parts == parts and hash(q) == hash(p)
 
     def test_order_across_256(self):
         assert Partition((255, 45)) < Partition((256,)) < Partition((256, 1))

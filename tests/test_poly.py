@@ -98,6 +98,21 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="bad exponent vector"):
             MultiPoly(("x",), {(exponent,): 1})
 
+    @pytest.mark.parametrize("coef", [0.1, 1.0, "1/4", None], ids=repr)
+    def test_inexact_coefficient_refused(self, coef):
+        # a float would become a binary fraction: 0.1 -> 3602879701896397/2**55
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            MultiPoly(("x",), {(1,): coef})
+
+    def test_float_scalar_refused(self):
+        p = MultiPoly(("x",), {(1,): 3})
+        zero = MultiPoly(("x",))
+        for op in (lambda: p + 0.5, lambda: p - 0.5, lambda: 0.5 - p, lambda: p * 0.5,
+                   lambda: zero * 0.5):
+            with pytest.raises(TypeError):
+                op()
+        assert p * Fraction(1, 2) - 1 == MultiPoly(("x",), {(1,): Fraction(3, 2), (0,): -1})
+
 
 class TestTextFormat:
     @pytest.mark.parametrize("text,expected", [
