@@ -9,9 +9,10 @@ Commands
 
 Exit codes: 0 pass, 1 check failure, 2 usage or parse error,
 3 unsupported case.  The report goes to stdout as text or JSON; the JSON
-is output only, nothing here reads it back.  A refused input (an
-argument out of range, a type that does not parse) leaves stdout empty
-and prints one line on stderr, with exit 2.  When the reader closes
+is output only, nothing here reads it back.  A refused input (a missing,
+unknown or malformed argument, an argument out of range, a type that
+does not parse) leaves stdout empty and prints one line on stderr, with
+exit 2.  `--help` prints the usage and exits 0.  When the reader closes
 stdout early (`orbitkit ... | head -1`), the report is cut off without
 a traceback and the exit code is still the command's own.
 """
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .embedcheck import (
+    DEFAULT_L_MAX,
     PAPER_GAP_EXCEPTIONS,
     CaseVerdict,
     EmbeddingCase,
@@ -278,8 +280,16 @@ def cmd_lnd_verify(args) -> tuple[Report, int]:
 # -- argument parsing ------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses through `main`'s one path instead of printing a usage line
+    and exiting; subparsers are built with the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbitkit",
         description="exact verification of orbit counts, embedding case"
                     " analyses, and the SL2 derivation calculus")
@@ -299,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="batch reproductions")
     rsub = p.add_subparsers(dest="report_kind", required=True)
     ap = rsub.add_parser("appendix", help="full case-analysis reproduction")
-    ap.add_argument("--lmax", type=int, default=50)
+    ap.add_argument("--lmax", type=int, default=DEFAULT_L_MAX)
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.set_defaults(handler=cmd_report_appendix)
 
@@ -314,12 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         report, code = args.handler(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)

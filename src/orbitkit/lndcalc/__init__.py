@@ -1,64 +1,10 @@
 """Exact symbolic calculus of derivations on polynomial quotient rings,
 instantiated on the coordinate ring of SL2."""
 
-from .derivations import (
-    DEFAULT_DEGREE_CAP,
-    Derivation,
-    KernelMembershipError,
-    NotNilpotentError,
-    WitnessReport,
-    WitnessTerm,
-    apply_derivation,
-    degrees_compatible,
-    delta_degree,
-    is_in_kernel,
-    make_derivation,
-    preserves_relations,
-    verify_compatibility_condition2,
-    verify_semicompatibility_witness,
-)
-from .poly import MultiPoly, PolyParseError, parse_poly, poly_to_text
-from .quotient import QuotientRing, RelationError
-from .sl2 import (
-    DIAGONAL_TORUS_WEIGHTS,
-    SL2_GENERATORS,
-    diagonal_torus_weight,
-    hypersurface_identity_holds,
-    sign_flip_fixes_hypersurface,
-    sl2_coordinate_ring,
-    sl2_invariant_generators,
-    sl2_standard_derivations,
-    verify_invariant_hypersurface,
-)
+from . import derivations, poly, quotient, sl2
+from .derivations import *
+from .poly import *
+from .quotient import *
+from .sl2 import *
 
-__all__ = [
-    "DEFAULT_DEGREE_CAP",
-    "DIAGONAL_TORUS_WEIGHTS",
-    "Derivation",
-    "KernelMembershipError",
-    "MultiPoly",
-    "NotNilpotentError",
-    "PolyParseError",
-    "QuotientRing",
-    "RelationError",
-    "SL2_GENERATORS",
-    "WitnessReport",
-    "WitnessTerm",
-    "apply_derivation",
-    "degrees_compatible",
-    "delta_degree",
-    "diagonal_torus_weight",
-    "hypersurface_identity_holds",
-    "is_in_kernel",
-    "make_derivation",
-    "parse_poly",
-    "poly_to_text",
-    "preserves_relations",
-    "sign_flip_fixes_hypersurface",
-    "sl2_coordinate_ring",
-    "sl2_invariant_generators",
-    "sl2_standard_derivations",
-    "verify_compatibility_condition2",
-    "verify_invariant_hypersurface",
-    "verify_semicompatibility_witness",
-]
+__all__ = sorted(derivations.__all__ + poly.__all__ + quotient.__all__ + sl2.__all__)

@@ -11,10 +11,12 @@ from .poly import Monomial, MultiPoly, _add_term, _signed_sum, poly_to_text
 from .quotient import QuotientRing
 
 __all__ = [
+    "DEFAULT_DEGREE_CAP",
     "Derivation",
     "NotNilpotentError",
     "KernelMembershipError",
     "WitnessReport",
+    "WitnessTerm",
     "make_derivation",
     "apply_derivation",
     "delta_degree",

@@ -10,13 +10,17 @@ nonzero coefficients, e.g. over generators ("a1", "a2", "b1", "b2")
 
 Monomials are compared lexicographically in generator order, which is
 the term order used by the quotient-ring rewriting.
+
+Polynomial text (`parse_poly`, and `poly_to_text`'s output) is terms
+joined by `+`/`-`, each term factors joined by `*`, each factor a
+coefficient `n` or `n/d` or a generator `gen` or `gen^k`.
 """
 
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-__all__ = ["MultiPoly", "PolyParseError", "parse_poly"]
+__all__ = ["MultiPoly", "PolyParseError", "parse_poly", "poly_to_text"]
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -187,82 +191,43 @@ def poly_to_text(p: MultiPoly) -> str:
         for mono in sorted(p.terms, reverse=True))
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-                    r"|(?P<op>[-+*^]))")
-
-
-def _tokenize(text: str):
-    text = text.rstrip()
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise PolyParseError(f"unexpected character at {text[pos:pos + 10]!r}")
-        if m.group("num"):
-            out.append(("num", m.group("num")))
-        elif m.group("name"):
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-        pos = m.end()
-    return out
+_FACTOR = re.compile(r"\s*(?:(?P<coef>\d+(?:/\d+)?)"
+                     r"|(?P<gen>[A-Za-z][A-Za-z0-9_]*)(?:\s*\^\s*(?P<exp>\d+))?)\s*")
 
 
 def parse_poly(text: str, gens: Iterable[str]) -> MultiPoly:
-    """Parse the textual format `coef*gen^exp*...` joined by `+`/`-`.
+    """Parse polynomial text over the named generators.
 
-    Whitespace is ignored; `^1` may be omitted; coefficients may be
-    integers or fractions like `1/4`.
+    Grammar: terms joined by runs of `+`/`-` (a leading run is allowed,
+    a run multiplies out); each term is factors joined by `*`; each
+    factor is `n`, `n/d` or `gen`, `gen^k` with n, d, k decimal
+    integers.  Whitespace is allowed around factors and `^`.  Anything
+    else, an unknown generator or a zero denominator raises
+    PolyParseError naming the offending text.
     """
     gens = tuple(gens)
     index = {g: i for i, g in enumerate(gens)}
-    tokens = _tokenize(text)
-    if not tokens:
-        raise PolyParseError("empty polynomial text")
+    pieces = re.split(r"([-+])", text)
     terms: dict[Monomial, Fraction] = {}
-    pos = 0
-    while pos < len(tokens):
-        sign = 1
-        while pos < len(tokens) and tokens[pos][0] == "op" and tokens[pos][1] in "+-":
-            if tokens[pos][1] == "-":
-                sign = -sign
-            pos += 1
-        coef = Fraction(sign)
-        expo = [0] * len(gens)
-        expect_factor = True
-        saw_factor = False
-        while pos < len(tokens):
-            kind, value = tokens[pos]
-            if kind == "op" and value in "+-":
-                break
-            if kind == "op" and value == "*":
-                if expect_factor:
-                    raise PolyParseError("misplaced '*'")
-                expect_factor = True
-                pos += 1
-                continue
-            if not expect_factor:
-                raise PolyParseError(f"missing operator before {value!r}")
-            if kind == "num":
-                coef *= Fraction(value)
-                pos += 1
-            elif kind == "name":
-                if value not in index:
-                    raise PolyParseError(f"unknown generator {value!r}; have {gens}")
-                power = 1
-                pos += 1
-                if pos < len(tokens) and tokens[pos] == ("op", "^"):
-                    pos += 1
-                    if pos >= len(tokens) or tokens[pos][0] != "num" or "/" in tokens[pos][1]:
-                        raise PolyParseError(f"expected integer exponent after {value}^")
-                    power = int(tokens[pos][1])
-                    pos += 1
-                expo[index[value]] += power
-            else:
-                raise PolyParseError(f"unexpected {value!r} inside a term")
-            expect_factor = False
-            saw_factor = True
-        if not saw_factor:
-            raise PolyParseError("empty term")
-        _add_term(terms, tuple(expo), coef)
+    sign = 1
+    for piece, op in zip(pieces[::2], pieces[1::2] + [None]):
+        if piece.strip() or op is None:  # blank only before a sign
+            coef, expo = Fraction(sign), [0] * len(gens)
+            for factor in piece.split("*"):
+                m = _FACTOR.fullmatch(factor)
+                if not m:
+                    raise PolyParseError(f"bad factor {factor.strip()!r} in {text!r}")
+                if m["coef"]:
+                    try:
+                        coef *= Fraction(m["coef"])
+                    except ZeroDivisionError:
+                        raise PolyParseError(f"zero denominator in {m['coef']!r}") from None
+                elif m["gen"] in index:
+                    expo[index[m["gen"]]] += int(m["exp"] or 1)
+                else:
+                    raise PolyParseError(f"unknown generator {m['gen']!r}; have {gens}")
+            _add_term(terms, tuple(expo), coef)
+            sign = 1
+        if op == "-":
+            sign = -sign
     return MultiPoly(gens, terms)

@@ -98,7 +98,6 @@ class RootSystem:
     simple_roots: tuple[Vector, ...]
     positive_roots: tuple[Vector, ...]
     heights: Mapping[Vector, int]
-    expansions: Mapping[Vector, tuple[int, ...]]
     cartan_matrix: tuple[tuple[int, ...], ...]
 
     @property
@@ -277,18 +276,17 @@ def build_root_system(t: LieType) -> RootSystem:
 
     sparse_simple = [_sparse(a) for a in simple]
     dim = len(simple[0])
-    roots = sorted((sum(c), _recombine(sparse_simple, c, dim), c)
+    roots = sorted((sum(c), _recombine(sparse_simple, c, dim))
                    for c in _closure_from_cartan(cartan))
-    for h, v, _ in roots:
+    for h, v in roots:
         if (h == 1) != (v in simple):
             raise RootSystemConsistencyError(f"height-1 roots must be simple; offender {v} in {t}")
 
     return RootSystem(
         lie_type=t,
         simple_roots=simple,
-        positive_roots=tuple(v for _, v, _ in roots),
-        heights=MappingProxyType({v: h for h, v, _ in roots}),
-        expansions=MappingProxyType({v: c for _, v, c in roots}),
+        positive_roots=tuple(v for _, v in roots),
+        heights=MappingProxyType({v: h for h, v in roots}),
         cartan_matrix=cartan,
     )
 

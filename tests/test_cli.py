@@ -188,8 +188,10 @@ class TestAppendixReport:
         assert rootsys.build_root_system.cache_info().misses == 3  # G2, F4, E6
 
     def test_bad_format_rejected(self, capsys):
-        code, _, _ = run(capsys, "report", "appendix", "--format", "yaml")
-        assert code == EXIT_USAGE
+        code, out, err = run(capsys, "report", "appendix", "--format", "yaml")
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("orbitkit report appendix: error: argument --format: invalid choice:"
+                       " 'yaml' (choose from 'text', 'json')\n")
 
 
 class TestLndVerify:
@@ -262,3 +264,24 @@ class TestUsage:
 
     def test_report_without_kind(self, capsys):
         assert run(capsys, "report")[0] == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, line", [
+        ("orbits", "orbitkit orbits: error: the following arguments are required: type"),
+        ("embed A3", "orbitkit embed: error: the following arguments are required: r"),
+        ("lnd", "orbitkit lnd: error: the following arguments are required: lnd_kind"),
+        ("bogus", "orbitkit: error: argument command: invalid choice: 'bogus'"
+                  " (choose from 'orbits', 'embed', 'report', 'lnd')"),
+        ("orbits B2 --x", "orbitkit: error: unrecognized arguments: --x"),
+        ("report appendix --lmax abc",
+         "orbitkit report appendix: error: argument --lmax: invalid int value: 'abc'"),
+    ])
+    def test_argparse_refusal_is_one_line(self, capsys, argv, line):
+        code, out, err = run(capsys, *argv.split())
+        assert code == EXIT_USAGE and out == ""
+        assert err == line + "\n"
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "appendix", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: orbitkit report appendix")

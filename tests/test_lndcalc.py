@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbitkit import lndcalc
 from orbitkit.lndcalc import (
     KernelMembershipError,
     MultiPoly,
@@ -404,3 +405,18 @@ def test_no_whole_polynomial_re_adding(ring, derivations, monkeypatch):
         assert not apply_derivation(ring, d, f).is_zero()
     assert len(parse_poly("a1^2*b1 - 3*a2*b1^2 + 1/2*b2 + 5", ring.gens).terms) == 4
     assert len(relation.substitute(flip).terms) == 3
+
+
+def test_export_list():
+    assert sorted(lndcalc.__all__) == [
+        "DEFAULT_DEGREE_CAP", "DIAGONAL_TORUS_WEIGHTS", "Derivation", "KernelMembershipError",
+        "MultiPoly", "NotNilpotentError", "PolyParseError", "QuotientRing", "RelationError",
+        "SL2_GENERATORS", "WitnessReport", "WitnessTerm", "apply_derivation",
+        "degrees_compatible", "delta_degree", "diagonal_torus_weight",
+        "hypersurface_identity_holds", "is_in_kernel", "make_derivation", "parse_poly",
+        "poly_to_text", "preserves_relations", "sign_flip_fixes_hypersurface",
+        "sl2_coordinate_ring", "sl2_invariant_generators", "sl2_standard_derivations",
+        "verify_compatibility_condition2", "verify_invariant_hypersurface",
+        "verify_semicompatibility_witness",
+    ]
+    assert all(hasattr(lndcalc, name) for name in lndcalc.__all__)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -142,10 +143,18 @@ class TestTextFormat:
 
     @pytest.mark.parametrize("bad", [
         "", "x9", "a1 +", "* a1", "a1 ** 2", "a1^", "a1^b2", "a1^1/2", "a1 a2",
-        "(a1 + a2)", "2.5*a1",
+        "(a1 + a2)", "2.5*a1", "1/0", "a1*", "a1* + b1", "2*",
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(PolyParseError):
+            parse_poly(bad, GENS)
+
+    @pytest.mark.parametrize("bad, named", [
+        ("a1 + 2.5*b1", "'2.5'"), ("a1*b2 - x9", "'x9'"), ("3/0*a1", "'3/0'"),
+        ("a1^ - b1", "'a1^'"),
+    ])
+    def test_parse_error_names_the_text(self, bad, named):
+        with pytest.raises(PolyParseError, match=re.escape(named)):
             parse_poly(bad, GENS)
 
     def test_repeated_generator_multiplies(self):
