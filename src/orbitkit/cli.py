@@ -31,7 +31,7 @@ from .embedcheck import (
     EmbeddingCase,
     InconsistencyError,
     UnsupportedCaseError,
-    Witness,
+    _L_MAX_MIN,
     embedding_verdict,
     principal_table,
     rank2_cases_report,
@@ -132,7 +132,7 @@ def _check_rank_cap(*types: LieType) -> None:
             raise UsageError(f"rank must be at most {RANK_CAP}, got {t}")
 
 
-def cmd_orbits(args) -> tuple[Report, int]:
+def cmd_orbits(args) -> Report:
     t = LieType.from_string(args.type)
     _check_rank_cap(t)
     oc = nilpotent_orbit_count(t)
@@ -141,10 +141,10 @@ def cmd_orbits(args) -> tuple[Report, int]:
         inputs={"type": str(t)},
         outputs={"count": oc.count, "method": oc.method, "notes": list(oc.notes)},
         passed=True)
-    return Report(command=f"orbits {args.type}", results=[record]), EXIT_PASS
+    return Report(command=f"orbits {args.type}", results=[record])
 
 
-def cmd_embed(args) -> tuple[Report, int]:
+def cmd_embed(args) -> Report:
     g = LieType.from_string(args.g)
     r = LieType.from_string(args.r)
     _check_rank_cap(g, r)
@@ -153,15 +153,13 @@ def cmd_embed(args) -> tuple[Report, int]:
         raise UsageError(f"--l {args.l} does not match the family parameter"
                          f" {verdict.case.family_parameter} of {g} > {r}")
     record = _verdict_record(verdict, f"embedding verdict: {g} > {r}")
-    code = EXIT_PASS if verdict.holds and verdict.witness is not Witness.NONE \
-        else EXIT_CHECK_FAILURE
     extra = f" --l {args.l}" if args.l is not None else ""
-    return Report(command=f"embed {args.g} {args.r}{extra}", results=[record]), code
+    return Report(command=f"embed {args.g} {args.r}{extra}", results=[record])
 
 
-def cmd_report_appendix(args) -> tuple[Report, int]:
-    if not 4 <= args.lmax <= LMAX_CAP:
-        raise UsageError(f"--lmax must be between 4 and {LMAX_CAP}, got {args.lmax}")
+def cmd_report_appendix(args) -> Report:
+    if not _L_MAX_MIN <= args.lmax <= LMAX_CAP:
+        raise UsageError(f"--lmax must be between {_L_MAX_MIN} and {LMAX_CAP}, got {args.lmax}")
     results = [_verdict_record(v, f"orbit-count case ({v.numbers['case']}): {v.case}")
                for v in rank2_cases_report(args.lmax)]
     rows = principal_table(args.lmax)
@@ -183,25 +181,17 @@ def cmd_report_appendix(args) -> tuple[Report, int]:
         inputs={"l_max": args.lmax},
         outputs={"expected": list(PAPER_GAP_EXCEPTIONS), "found": exceptions},
         passed=exceptions == list(PAPER_GAP_EXCEPTIONS)))
-    report = Report(command=f"report appendix --lmax {args.lmax}", results=results)
-    return report, EXIT_PASS if report.status == "pass" else EXIT_CHECK_FAILURE
+    return Report(command=f"report appendix --lmax {args.lmax}", results=results)
 
 
-def _degree(ring, d, f, cap) -> int | str:
-    """delta_degree, or ">cap" when d^(cap+1) f is still nonzero."""
-    from .lndcalc import NotNilpotentError, delta_degree
-    try:
-        return delta_degree(ring, d, f, cap)
-    except NotNilpotentError:
-        return f">{cap}"
-
-
-def cmd_lnd_verify(args) -> tuple[Report, int]:
+def cmd_lnd_verify(args) -> Report:
     cap = args.cap
     if cap < 0:
         raise UsageError(f"--cap must be at least 0, got {cap}")
     from .lndcalc import (
+        NotNilpotentError,
         degrees_compatible,
+        delta_degree,
         hypersurface_identity_holds,
         is_in_kernel,
         preserves_relations,
@@ -215,20 +205,24 @@ def cmd_lnd_verify(args) -> tuple[Report, int]:
     gens = {name: ring.generator(name) for name in ring.gens}
     results = []
 
-    d1_preserves = preserves_relations(ring, d1)
-    d2_preserves = preserves_relations(ring, d2)
-    results.append(Record(
-        kind="lnd-check", anchor="determinant relation preserved",
-        inputs={"relation": str(ring.relation)},
-        outputs={"d1": d1_preserves, "d2": d2_preserves},
-        passed=d1_preserves and d2_preserves))
+    def check(anchor, inputs, outputs, passed):
+        results.append(Record("lnd-check", anchor, inputs, outputs, passed))
 
-    degrees = {f"deg_{label}({name})": _degree(ring, d, g, cap)
+    def degree(d, f) -> int | str:
+        """delta_degree, or ">cap" when d^(cap+1) f is still nonzero."""
+        try:
+            return delta_degree(ring, d, f, cap)
+        except NotNilpotentError:
+            return f">{cap}"
+
+    preserved = {"d1": preserves_relations(ring, d1), "d2": preserves_relations(ring, d2)}
+    check("determinant relation preserved", {"relation": str(ring.relation)},
+          preserved, all(preserved.values()))
+
+    degrees = {f"deg_{label}({name})": degree(d, g)
                for label, d in (("d1", d1), ("d2", d2)) for name, g in gens.items()}
-    results.append(Record(
-        kind="lnd-check", anchor=f"local nilpotence on generators (cap {cap})",
-        inputs={"cap": cap}, outputs=degrees,
-        passed=all(isinstance(v, int) for v in degrees.values())))
+    check(f"local nilpotence on generators (cap {cap})", {"cap": cap}, degrees,
+          all(isinstance(v, int) for v in degrees.values()))
 
     memberships = {
         "a1 in ker d1": is_in_kernel(ring, d1, gens["a1"]),
@@ -238,43 +232,30 @@ def cmd_lnd_verify(args) -> tuple[Report, int]:
         "b1 not in ker d1": not is_in_kernel(ring, d1, gens["b1"]),
         "a1 not in ker d2": not is_in_kernel(ring, d2, gens["a1"]),
     }
-    results.append(Record(
-        kind="lnd-check", anchor="kernel memberships",
-        inputs={}, outputs=memberships, passed=all(memberships.values())))
+    check("kernel memberships", {}, memberships, all(memberships.values()))
 
     witness = verify_semicompatibility_witness(
         ring, d1, d2, [gens["a1"], gens["a2"]], [gens["b1"], gens["b2"]])
-    results.append(Record(
-        kind="lnd-check", anchor="semi-compatibility witness",
-        inputs={"kernel1": ["a1", "a2"], "kernel2": ["b1", "b2"],
-                "degree_cap": witness.degree_cap},
-        outputs={"equation": witness.equation(), "found_degree": witness.found_degree},
-        passed=witness.found))
+    check("semi-compatibility witness",
+          {"kernel1": ["a1", "a2"], "kernel2": ["b1", "b2"], "degree_cap": witness.degree_cap},
+          {"equation": witness.equation(), "found_degree": witness.found_degree},
+          witness.found)
 
     a = ring.element("a1*b2")
-    deg1, deg2 = _degree(ring, d1, a, cap), _degree(ring, d2, a, cap)
-    results.append(Record(
-        kind="lnd-check", anchor="compatibility element a1*b2",
-        inputs={"a": "a1*b2"},
-        outputs={"deg_d1(a1*b2)": deg1, "deg_d2(a1*b2)": deg2},
-        passed=degrees_compatible(deg1, deg2)))
+    deg1, deg2 = degree(d1, a), degree(d2, a)
+    check("compatibility element a1*b2", {"a": "a1*b2"},
+          {"deg_d1(a1*b2)": deg1, "deg_d2(a1*b2)": deg2}, degrees_compatible(deg1, deg2))
 
     reduces = hypersurface_identity_holds()
-    results.append(Record(
-        kind="lnd-check", anchor="invariant hypersurface",
-        inputs={"u": "a1*a2", "v": "b1*b2", "z": "a2*b1 + 1/2"},
-        outputs={"identity": "u*v - z^2 + 1/4 == 0 in C[SL2]", "reduces_to_zero": reduces},
-        passed=reduces))
+    check("invariant hypersurface", {"u": "a1*a2", "v": "b1*b2", "z": "a2*b1 + 1/2"},
+          {"identity": "u*v - z^2 + 1/4 == 0 in C[SL2]", "reduces_to_zero": reduces},
+          reduces)
 
     flip_fixed = sign_flip_fixes_hypersurface()
-    results.append(Record(
-        kind="lnd-check", anchor="sign-flip equivariance",
-        inputs={"action": "(u,v,z) -> (-u,-v,-z)"},
-        outputs={"fixes_hypersurface": flip_fixed},
-        passed=flip_fixed))
+    check("sign-flip equivariance", {"action": "(u,v,z) -> (-u,-v,-z)"},
+          {"fixes_hypersurface": flip_fixed}, flip_fixed)
 
-    report = Report(command=f"lnd verify --cap {cap}", results=results)
-    return report, EXIT_PASS if report.status == "pass" else EXIT_CHECK_FAILURE
+    return Report(command=f"lnd verify --cap {cap}", results=results)
 
 
 # -- argument parsing ------------------------------------------------------
@@ -326,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        report, code = args.handler(args)
+        report = args.handler(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
@@ -345,7 +326,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader is gone; send the flush at exit to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return code
+    return EXIT_PASS if report.status == "pass" else EXIT_CHECK_FAILURE
 
 
 def console_main():

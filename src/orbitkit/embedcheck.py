@@ -91,16 +91,18 @@ class EmbeddingCase:
 class CaseVerdict:
     case: EmbeddingCase
     criterion: Criterion
-    witness: Witness
     holds: bool
     numbers: Mapping[str, int] = field(default_factory=dict)
     partition: Partition | None = None
     citation: str | None = None
     note: str | None = None
 
-    def __post_init__(self):
-        if self.witness is Witness.NONE and self.holds and self.criterion is not Criterion.CITED_ONLY:
-            raise ValueError("a holding verdict must name a witness subgroup kind")
+    @property
+    def witness(self) -> Witness:
+        """Principal when orbit counts decide, subregular for every other criterion."""
+        if not self.holds:
+            return Witness.NONE
+        return Witness.PRINCIPAL if self.criterion is Criterion.ORBIT_COUNT else Witness.SUBREGULAR
 
 
 @dataclass(frozen=True)
@@ -197,6 +199,9 @@ _CASES = (
           l_min=4, obstruction=_NO_PART_ONE),
 )
 
+# The smallest l_max whose sweep reaches every parametrized row (Dl from l = 4).
+_L_MAX_MIN = max(rec.l_min for rec in _CASES if rec.l_min is not None)
+
 # The paper's claim that exactly these rows have dim G - dim R <= rank G + 3.
 # Stated, not derived from _CASES: `report appendix` tests the table against it.
 PAPER_GAP_EXCEPTIONS = ("A3 > B2", "D4 > B3")
@@ -236,8 +241,8 @@ def _identify(g: LieType, r: LieType) -> tuple[EmbeddingCase, _Case]:
 
 def _sweep(l_max: int) -> list[tuple[_Case, int | None]]:
     """Every (record, l) of the table up to l_max, in table order."""
-    if l_max < 4:
-        raise ValueError(f"l_max must be at least 4, got {l_max}")
+    if l_max < _L_MAX_MIN:
+        raise ValueError(f"l_max must be at least {_L_MAX_MIN}, got {l_max}")
     return [(rec, l) for rec in _CASES
             for l in ((None,) if rec.l_min is None else range(rec.l_min, l_max + 1))]
 
@@ -247,12 +252,10 @@ def orbit_count_criterion(g: LieType, r: LieType) -> CaseVerdict:
     sl2-conjugacy class of g misses every conjugate of r."""
     count_g = nilpotent_orbit_count(g).count
     count_r = nilpotent_orbit_count(r).count
-    holds = count_r < count_g
     return CaseVerdict(
         case=EmbeddingCase(g, r),
         criterion=Criterion.ORBIT_COUNT,
-        witness=Witness.PRINCIPAL if holds else Witness.NONE,
-        holds=holds,
+        holds=count_r < count_g,
         numbers={"orbit_count_g": count_g, "orbit_count_r": count_r},
     )
 
@@ -311,18 +314,16 @@ def dimension_gap_check(g: LieType, r: LieType) -> CaseVerdict:
 def _dimension_gap(case: EmbeddingCase, rec: _Case) -> CaseVerdict:
     g, r = case.g_type, case.r_type
     row = _row(rec, case.family_parameter)
-    holds = row.gap_exceeds
     return CaseVerdict(
         case=case,
         criterion=Criterion.DIMENSION_GAP,
-        witness=Witness.SUBREGULAR if holds else Witness.NONE,
-        holds=holds,
+        holds=row.gap_exceeds,
         numbers={
             "dim_g": group_dimension(g), "dim_r": group_dimension(r),
             "gap": row.dim_gap, "rank_g": g.rank, "bound": row.rank_plus_3,
         },
-        note=None if holds else "gap does not exceed the bound; deferred to"
-                                " the subregular-partition criterion",
+        note=None if row.gap_exceeds else "gap does not exceed the bound; deferred to"
+                                       " the subregular-partition criterion",
     )
 
 
@@ -346,17 +347,13 @@ def _subregular_membership(case: EmbeddingCase, rec: _Case) -> CaseVerdict:
     g = case.g_type
     if rec.citation is not None:
         return CaseVerdict(
-            case=case, criterion=Criterion.CITED_ONLY, witness=Witness.SUBREGULAR,
-            holds=True, citation=rec.citation,
+            case=case, criterion=Criterion.CITED_ONLY, holds=True, citation=rec.citation,
             partition=subregular_partition(g) if g.family in "ABD" else None)
     p = subregular_partition(g)
     incompatible, note = rec.obstruction
-    holds = incompatible(p)
     return CaseVerdict(
-        case=case, criterion=Criterion.SUBREGULAR_PARTITION,
-        witness=Witness.SUBREGULAR if holds else Witness.NONE,
-        holds=holds, numbers={"l": case.family_parameter}, partition=p,
-        note=note.format(p))
+        case=case, criterion=Criterion.SUBREGULAR_PARTITION, holds=incompatible(p),
+        numbers={"l": case.family_parameter}, partition=p, note=note.format(p))
 
 
 def embedding_verdict(g: LieType, r: LieType) -> CaseVerdict:

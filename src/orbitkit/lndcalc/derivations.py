@@ -155,10 +155,13 @@ class WitnessReport:
     """Outcome of the search for the constant 1 in the span of products
     of kernel monomials."""
 
-    found: bool
     degree_cap: int
     combination: tuple[WitnessTerm, ...] = ()
     found_degree: int | None = None
+
+    @property
+    def found(self) -> bool:
+        return self.found_degree is not None
 
     def equation(self) -> str:
         if not self.found:
@@ -246,6 +249,5 @@ def verify_semicompatibility_witness(ring: QuotientRing,
                     combo = span.insert(len(visited) - 1, ring.normal_form(pleft * pright))
                     if combo is not None:
                         terms = tuple(WitnessTerm(combo[i], *visited[i]) for i in sorted(combo))
-                        return WitnessReport(found=True, degree_cap=degree,
-                                             combination=terms, found_degree=total)
-    return WitnessReport(found=False, degree_cap=degree)
+                        return WitnessReport(degree, terms, found_degree=total)
+    return WitnessReport(degree)

@@ -109,8 +109,8 @@ class TestAppendixReport:
                            "--format", "json")
         assert code == EXIT_PASS
         args = cli.build_parser().parse_args(["lnd", "verify", "--cap", "0"])
-        failing, code = args.handler(args)
-        assert code == EXIT_CHECK_FAILURE
+        failing = args.handler(args)
+        assert run(capsys, "lnd", "verify", "--cap", "0")[0] == EXIT_CHECK_FAILURE
         for data, status in ((json.loads(out), "pass"), (failing.to_dict(), "fail")):
             assert list(data) == ["version", "command", "status", "results"]
             assert data["version"] == orbitkit.__version__
