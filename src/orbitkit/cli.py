@@ -8,13 +8,16 @@ Commands
     lnd verify [--cap N]                  SL2 derivation verification suite
 
 Exit codes: 0 pass, 1 check failure, 2 usage or parse error,
-3 unsupported case.  The report goes to stdout as text or JSON; the JSON
-is output only, nothing here reads it back.  A refused input (a missing,
-unknown or malformed argument, an argument out of range, a type that
-does not parse) leaves stdout empty and prints one line on stderr, with
-exit 2.  `--help` prints the usage and exits 0.  When the reader closes
-stdout early (`orbitkit ... | head -1`), the report is cut off without
-a traceback and the exit code is still the command's own.
+3 unsupported case.  Every handler returns a Report, and `main` takes
+the exit code from its status: 0 when every record passes, 1 when one
+fails.  A failed internal self-check exits 1 with one line on stderr.
+The report goes to stdout as text or JSON; the JSON is output only,
+nothing here reads it back.  A refused input (a missing, unknown or
+malformed argument, an argument out of range, a type that does not
+parse) leaves stdout empty and prints one line on stderr, with exit 2.
+`--help` prints the usage and exits 0.  When the reader closes stdout
+early (`orbitkit ... | head -1`), the report is cut off without a
+traceback and the exit code is still the command's own.
 """
 
 import argparse

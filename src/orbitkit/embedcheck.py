@@ -28,6 +28,7 @@ from typing import Callable, Mapping
 from .orbits import nilpotent_orbit_count, subregular_partition
 from .partitions import Partition, is_orthogonal_partition, is_symplectic_partition
 from .rootsys import LieType, group_dimension
+from .rootsys import RootSystemConsistencyError as InconsistencyError
 
 __all__ = [
     "Criterion",
@@ -66,11 +67,6 @@ class Witness(Enum):
 class UnsupportedCaseError(ValueError):
     """The pair is outside the analyzed case list; no verdict is extended
     to it."""
-
-
-class InconsistencyError(RuntimeError):
-    """A tabulated value disagrees with its recomputation, or a check
-    that must always hold failed; indicates an implementation bug."""
 
 
 @dataclass(frozen=True)

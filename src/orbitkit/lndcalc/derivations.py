@@ -77,6 +77,9 @@ def make_derivation(ring: QuotientRing,
             value = ring.parse(value)
         elif isinstance(value, (int, Fraction)):
             value = ring.constant(value)
+        elif not isinstance(value, MultiPoly):
+            raise TypeError(f"image {value!r} of {g!r} is not a MultiPoly, str, int"
+                            " or Fraction")
         table[g] = ring.normal_form(value)
     if given:
         raise ValueError(f"images for unknown generators {sorted(given)}")
@@ -86,6 +89,9 @@ def make_derivation(ring: QuotientRing,
 def apply_derivation(ring: QuotientRing, d: Derivation, f: MultiPoly) -> MultiPoly:
     """Extend the generator images by the Leibniz rule and reduce."""
     gens = ring.gens
+    for name, over in (("polynomial", f.gens), ("derivation", d.gens)):
+        if over != gens:
+            raise ValueError(f"{name} over {over}, ring over {gens}")
     out: dict[Monomial, Fraction] = {}
     for mono, coef in f.terms.items():
         for i, e in enumerate(mono):

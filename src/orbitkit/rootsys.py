@@ -43,7 +43,9 @@ class InvalidLieTypeError(ValueError):
 
 
 class RootSystemConsistencyError(RuntimeError):
-    """Internal construction invariant failed; indicates a bug, not bad input."""
+    """A tabulated value disagrees with its recomputation, or a check that
+    must always hold failed; indicates a bug, not bad input.  embedcheck
+    exports the same class as InconsistencyError."""
 
 
 @dataclass(frozen=True)
@@ -57,9 +59,9 @@ class LieType:
 
     def __post_init__(self):
         family, rank = self.family, self.rank
-        if family not in "ABCDEFG":
+        if family not in ("A", "B", "C", "D", "E", "F", "G"):
             raise InvalidLieTypeError(f"unknown family {family!r}; expected one of A..G")
-        if not isinstance(rank, int) or rank < 1:
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
             raise InvalidLieTypeError(f"rank must be a positive integer, got {rank!r}")
         if family == "C" and rank == 2:
             family, rank = "B", 2

@@ -86,6 +86,25 @@ class TestEmbedCommand:
         code, out, _ = run(capsys, "embed", f"D{RANK_CAP}", f"B{RANK_CAP - 1}")
         assert code == EXIT_PASS and "D2000 > B1999" in out
 
+    def test_root_system_self_check_is_one_line(self, capsys, monkeypatch):
+        """A failed root-system self-check ends like every other internal
+        inconsistency: exit 1 and one stderr line, no traceback."""
+        caches = (rootsys.build_root_system, rootsys.positive_root_count,
+                  rootsys.group_dimension)
+        simple_roots = rootsys._simple_roots
+        monkeypatch.setattr(rootsys, "_simple_roots", lambda t: (
+            rootsys._G2_SIMPLE[::-1] if t.family == "G" else simple_roots(t)))
+        for cached in caches:
+            cached.cache_clear()
+        try:
+            code, out, err = run(capsys, "embed", "B3", "G2")
+        finally:
+            monkeypatch.undo()
+            for cached in caches:
+                cached.cache_clear()
+        assert code == EXIT_CHECK_FAILURE and out == ""
+        assert err == "internal inconsistency: ambient Cartan matrix disagrees with table for G2\n"
+
 
 class TestAppendixReport:
     def test_text_passes(self, capsys):

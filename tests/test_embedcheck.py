@@ -5,7 +5,9 @@ import pytest
 from orbitkit import embedcheck
 from orbitkit.embedcheck import (
     SUPPORTED_CASES,
+    CaseVerdict,
     Criterion,
+    EmbeddingCase,
     InconsistencyError,
     UnsupportedCaseError,
     Witness,
@@ -37,6 +39,18 @@ class TestOrbitCountCriterion:
         v = orbit_count_criterion(T("A1"), T("A1"))
         assert not v.holds and v.witness is Witness.NONE
         assert v.numbers["orbit_count_g"] == v.numbers["orbit_count_r"]
+
+
+@pytest.mark.parametrize("criterion,witness", [
+    (Criterion.ORBIT_COUNT, Witness.PRINCIPAL),
+    (Criterion.DIMENSION_GAP, Witness.SUBREGULAR),
+    (Criterion.SUBREGULAR_PARTITION, Witness.SUBREGULAR),
+    (Criterion.CITED_ONLY, Witness.SUBREGULAR),
+])
+def test_witness_follows_criterion_and_holds(criterion, witness):
+    case = EmbeddingCase(T("A3"), T("B2"))
+    assert CaseVerdict(case, criterion, holds=True).witness is witness
+    assert CaseVerdict(case, criterion, holds=False).witness is Witness.NONE
 
 
 class TestRank2Report:

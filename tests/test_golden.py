@@ -8,7 +8,10 @@ record, its order, or the key order of its outputs shows up here as a
 diff.
 """
 
+import hashlib
 from pathlib import Path
+
+import pytest
 
 from orbitkit.cli import main
 
@@ -51,3 +54,19 @@ def test_embed_every_supported_pair(capsys):
         code = main(["embed", g, r])
         chunks.append(f"$ orbitkit embed {g} {r}\n{capsys.readouterr().out}exit {code}\n")
     assert "".join(chunks) == (DATA / "embed_pairs.txt").read_text()
+
+
+# sha256 of `report appendix --lmax 50`, the reference output every
+# change to the code behind the report must keep
+APPENDIX_LMAX50_SHA256 = {
+    "json": "961bcbb02fce22845b60884f73a6c63a04ea9d48253616b9498c1be751ac6220",
+    "text": "ec7d4618547a3746029c8a5eae61f82b5eec653e086538cc6dcf6e9d8e865eaf",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(APPENDIX_LMAX50_SHA256))
+def test_appendix_lmax50_digest(capsys, fmt):
+    code = main(["report", "appendix", "--lmax", "50", "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == APPENDIX_LMAX50_SHA256[fmt]

@@ -10,6 +10,7 @@ from orbitkit.lndcalc import (
     NotNilpotentError,
     QuotientRing,
     RelationError,
+    WitnessReport,
     apply_derivation,
     degrees_compatible,
     delta_degree,
@@ -169,6 +170,27 @@ class TestDerivations:
         with pytest.raises(ValueError):
             make_derivation(ring, c1="a1")
 
+    @pytest.mark.parametrize("image", [1.5, None, b"a1", ["a1"]])
+    def test_image_of_other_type_rejected(self, ring, image):
+        with pytest.raises(TypeError, match="not a MultiPoly, str, int or Fraction"):
+            make_derivation(ring, a1=image)
+
+    def test_polynomial_over_fewer_generators_rejected(self, ring, derivations):
+        d1, _ = derivations
+        with pytest.raises(ValueError, match=r"polynomial over \('b1',\), ring over"):
+            is_in_kernel(ring, d1, MultiPoly(("b1",), {(1,): 1}))
+
+    def test_polynomial_over_more_generators_rejected(self, ring, derivations):
+        d1, _ = derivations
+        with pytest.raises(ValueError, match="polynomial over .*'c1'.*, ring over"):
+            apply_derivation(ring, d1, MultiPoly.generator(ring.gens + ("c1",), "c1"))
+
+    def test_derivation_of_another_ring_rejected(self, ring):
+        free = QuotientRing(("x", "y"))
+        d = make_derivation(free, x="y")
+        with pytest.raises(ValueError, match=r"derivation over \('x', 'y'\), ring over"):
+            apply_derivation(ring, d, ring.generator("a1"))
+
 
 class TestDeltaDegree:
     def test_kernel_elements_have_degree_zero(self, ring, derivations):
@@ -310,6 +332,10 @@ class TestWitnessSearch:
         assert not report.found
         assert report.degree_cap == 3
         assert "not found" in report.equation()
+
+    def test_found_follows_found_degree(self):
+        assert not WitnessReport(3).found
+        assert WitnessReport(3, found_degree=2).found
 
     def test_trivial_ring(self):
         free = QuotientRing(("x",))

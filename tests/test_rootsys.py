@@ -45,6 +45,7 @@ class TestLieType:
     @pytest.mark.parametrize("family,rank", [
         ("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9),
         ("F", 3), ("F", 5), ("G", 1), ("G", 3), ("H", 2),
+        ("AB", 3), ("", 3), (1, 3), (None, 3), ("A", True), ("A", 2.0),
     ])
     def test_invalid_combinations(self, family, rank):
         with pytest.raises(InvalidLieTypeError):
