@@ -152,9 +152,11 @@ def cmd_embed(args) -> Report:
     r = LieType.from_string(args.r)
     _check_rank_cap(g, r)
     verdict = embedding_verdict(g, r)
-    if args.l is not None and verdict.case.family_parameter != args.l:
-        raise UsageError(f"--l {args.l} does not match the family parameter"
-                         f" {verdict.case.family_parameter} of {g} > {r}")
+    l = verdict.case.family_parameter
+    if args.l is not None and l is None:
+        raise UsageError(f"--l {args.l} does not apply: {g} > {r} has no family parameter")
+    if args.l is not None and l != args.l:
+        raise UsageError(f"--l {args.l} does not match the family parameter {l} of {g} > {r}")
     record = _verdict_record(verdict, f"embedding verdict: {g} > {r}")
     extra = f" --l {args.l}" if args.l is not None else ""
     return Report(command=f"embed {args.g} {args.r}{extra}", results=[record])

@@ -15,8 +15,10 @@ tables are reported with criterion "cited-only" and an explanatory
 citation string; nothing is recomputed for them.
 
 The case list is one table, _CASES; every sweep and lookup is derived
-from it.  Sweeps re-derive every tabulated number from root systems and
-partition counts and fail loudly on any mismatch.
+from it.  Every analyzed pair resolves to its PrincipalRow, and each
+criterion reads that row.  Rows and sweeps re-derive every tabulated
+number from root systems and partition counts and fail loudly on any
+mismatch.
 """
 
 import re
@@ -108,19 +110,44 @@ class PrincipalRow:
     subregular centralizer bound rank G + 3."""
 
     case: EmbeddingCase
-    rank_plus_3: int
-    dim_gap: int
+    dim_g: int
+    dim_r: int
     record: "_Case" = field(repr=False, compare=False)
     alias_note: str | None = None
+
+    @property
+    def rank_plus_3(self) -> int:
+        return self.case.g_type.rank + 3
+
+    @property
+    def dim_gap(self) -> int:
+        return self.dim_g - self.dim_r
 
     @property
     def gap_exceeds(self) -> bool:
         return self.dim_gap > self.rank_plus_3
 
+    def gap_check(self) -> CaseVerdict:
+        """dimension_gap_check of this row."""
+        return CaseVerdict(
+            case=self.case, criterion=Criterion.DIMENSION_GAP, holds=self.gap_exceeds,
+            numbers={"dim_g": self.dim_g, "dim_r": self.dim_r, "gap": self.dim_gap,
+                     "rank_g": self.case.g_type.rank, "bound": self.rank_plus_3},
+            note=None if self.gap_exceeds else "gap does not exceed the bound; deferred to"
+                                               " the subregular-partition criterion")
+
     def subregular_check(self) -> CaseVerdict:
-        """subregular_membership_check of this row, read from the case
-        record the row was built from instead of resolving the pair."""
-        return _subregular_membership(self.case, self.record)
+        """subregular_membership_check of this row, read from its case record."""
+        g, rec = self.case.g_type, self.record
+        if rec.citation is not None:
+            return CaseVerdict(
+                case=self.case, criterion=Criterion.CITED_ONLY, holds=True, citation=rec.citation,
+                partition=subregular_partition(g) if g.family in "ABD" else None)
+        p = subregular_partition(g)
+        incompatible, note = rec.obstruction
+        return CaseVerdict(
+            case=self.case, criterion=Criterion.SUBREGULAR_PARTITION, holds=incompatible(p),
+            numbers={"l": self.case.family_parameter}, partition=p, note=note.format(p))
 
 
 _TRIALITY_CITATION = (
@@ -221,15 +248,15 @@ def _supported_cases() -> tuple[str, ...]:
 SUPPORTED_CASES = _supported_cases()
 
 
-def _identify(g: LieType, r: LieType) -> tuple[EmbeddingCase, _Case]:
-    """The analyzed pair g > r and its record, the family parameter solved
-    from the rank of g.  Raises UnsupportedCaseError outside the case list."""
+def _identify(g: LieType, r: LieType) -> PrincipalRow:
+    """The table row of the analyzed pair g > r, l solved from the rank of g.
+    Raises UnsupportedCaseError outside the case list."""
     for rec in _CASES:
         letter, a, b = _rank_form(rec.g)
         l, rest = divmod(g.rank - b, a) if a else (None, g.rank - b)
         if (g.family == letter and not rest and (l is None or l >= rec.l_min)
                 and rec.types(l) == (g, r)):
-            return EmbeddingCase(g, r, l), rec
+            return _row(rec, l)
     raise UnsupportedCaseError(
         f"no verdict is recorded for {g} > {r}; supported cases: "
         + "; ".join(SUPPORTED_CASES))
@@ -260,36 +287,31 @@ def rank2_cases_report(l_max: int = DEFAULT_L_MAX) -> list[CaseVerdict]:
     """Orbit-count verdicts for the six rank >= 2 principal-subgroup
     cases; parametrized families run over 3 <= l <= l_max (the D family
     over 4 <= l <= l_max).  Every verdict must hold."""
-    # the report lists the pairs by case number; case (1) lists them without l
-    pairs = [(1, *rec.types(l), None) if l in rec.orbit_count_at
-             else (rec.number, *rec.types(l), l) for rec, l in _sweep(l_max)]
-    pairs.sort(key=lambda pair: pair[0])
-
     verdicts = []
-    for index, g, r, l in pairs:
+    for rec, l in _sweep(l_max):
+        g, r = rec.types(l)
+        # the report lists the pairs by case number; case (1) lists them without l
+        index, l = (1, None) if l in rec.orbit_count_at else (rec.number, l)
         v = orbit_count_criterion(g, r)
         if not v.holds:
             raise InconsistencyError(
                 f"case ({index}) fails at {g} > {r}: orbit counts"
                 f" {v.numbers['orbit_count_g']} vs {v.numbers['orbit_count_r']}")
-        numbers = {**v.numbers, "case": index}
-        if l is not None:
-            numbers["l"] = l
+        numbers = {**v.numbers, "case": index, **({} if l is None else {"l": l})}
         verdicts.append(replace(v, case=EmbeddingCase(g, r, l), numbers=numbers))
-    return verdicts
+    return sorted(verdicts, key=lambda v: v.numbers["case"])
 
 
 def _row(rec: _Case, l: int | None) -> PrincipalRow:
     g, r = rec.types(l)
-    rank_plus_3 = g.rank + 3
-    gap = group_dimension(g) - group_dimension(r)
-    if (rank_plus_3, gap) != rec.closed_forms(l):
-        raise InconsistencyError(
-            f"table row {g} > {r}: closed form {rec.closed_forms(l)}"
-            f" vs root-system values ({rank_plus_3}, {gap})")
     letter, rank = _label_at(rec.r, l)
     note = None if r.family == letter else f"R is {letter}{rank}, canonicalized to {r}"
-    return PrincipalRow(EmbeddingCase(g, r, l), rank_plus_3, gap, rec, note)
+    row = PrincipalRow(EmbeddingCase(g, r, l), group_dimension(g), group_dimension(r), rec, note)
+    if (row.rank_plus_3, row.dim_gap) != rec.closed_forms(l):
+        raise InconsistencyError(
+            f"table row {g} > {r}: closed form {rec.closed_forms(l)}"
+            f" vs root-system values ({row.rank_plus_3}, {row.dim_gap})")
+    return row
 
 
 def principal_table(l_max: int = DEFAULT_L_MAX) -> list[PrincipalRow]:
@@ -304,23 +326,7 @@ def dimension_gap_check(g: LieType, r: LieType) -> CaseVerdict:
     a degenerate fixed-point-free action of the subregular SL2 on G/R,
     so the subregular witness works; otherwise the verdict defers to the
     subregular-partition criterion."""
-    return _dimension_gap(*_identify(g, r))
-
-
-def _dimension_gap(case: EmbeddingCase, rec: _Case) -> CaseVerdict:
-    g, r = case.g_type, case.r_type
-    row = _row(rec, case.family_parameter)
-    return CaseVerdict(
-        case=case,
-        criterion=Criterion.DIMENSION_GAP,
-        holds=row.gap_exceeds,
-        numbers={
-            "dim_g": group_dimension(g), "dim_r": group_dimension(r),
-            "gap": row.dim_gap, "rank_g": g.rank, "bound": row.rank_plus_3,
-        },
-        note=None if row.gap_exceeds else "gap does not exceed the bound; deferred to"
-                                       " the subregular-partition criterion",
-    )
+    return _identify(g, r).gap_check()
 
 
 def dimension_gap_exceptions(l_max: int = DEFAULT_L_MAX) -> list[EmbeddingCase]:
@@ -336,20 +342,7 @@ def subregular_membership_check(g: LieType, r: LieType) -> CaseVerdict:
     (r,1) of sl_{r+1} is not symplectic for odd r and not orthogonal for
     even r, and Jordan type (2l-3,3) of so_{2l} fixes no line.  The G2
     and F4 rows rest on cited triality/lifting facts."""
-    return _subregular_membership(*_identify(g, r))
-
-
-def _subregular_membership(case: EmbeddingCase, rec: _Case) -> CaseVerdict:
-    g = case.g_type
-    if rec.citation is not None:
-        return CaseVerdict(
-            case=case, criterion=Criterion.CITED_ONLY, holds=True, citation=rec.citation,
-            partition=subregular_partition(g) if g.family in "ABD" else None)
-    p = subregular_partition(g)
-    incompatible, note = rec.obstruction
-    return CaseVerdict(
-        case=case, criterion=Criterion.SUBREGULAR_PARTITION, holds=incompatible(p),
-        numbers={"l": case.family_parameter}, partition=p, note=note.format(p))
+    return _identify(g, r).subregular_check()
 
 
 def embedding_verdict(g: LieType, r: LieType) -> CaseVerdict:
@@ -361,16 +354,13 @@ def embedding_verdict(g: LieType, r: LieType) -> CaseVerdict:
     subregular bound, then the subregular-partition or cited argument
     pins the witness.  The returned numbers collect every quantity used.
     """
-    case, rec = _identify(g, r)
+    row = _identify(g, r)
+    l = row.case.family_parameter
     oc = orbit_count_criterion(g, r)
-    numbers = dict(oc.numbers)
-    if case.family_parameter is not None:
-        numbers["l"] = case.family_parameter
-    if case.family_parameter in rec.orbit_count_at and oc.holds:
-        return replace(oc, case=case, numbers=numbers)
-    gap = _dimension_gap(case, rec)
-    membership = _subregular_membership(case, rec)
-    numbers.update(gap.numbers)
-    numbers.update(membership.numbers)
+    if l in row.record.orbit_count_at and oc.holds:
+        return replace(oc, case=row.case, numbers={**oc.numbers, "l": l})
+    gap, membership = row.gap_check(), row.subregular_check()
+    numbers = {**oc.numbers, **({} if l is None else {"l": l}),
+               **gap.numbers, **membership.numbers}
     return replace(membership, numbers=numbers,
                    note=membership.note if gap.holds else gap.note)

@@ -52,7 +52,10 @@ def sl2_standard_derivations() -> tuple[Derivation, Derivation]:
     d2 = make_derivation(ring, a1="b1", a2="b2")
     for name, d in (("d1", d1), ("d2", d2)):
         if not preserves_relations(ring, d):
-            raise AssertionError(f"{name} does not preserve the determinant relation")
+            # imported here, not at the top: only this path needs the
+            # root-system module, and loading it slows every lndcalc start-up
+            from ..rootsys import RootSystemConsistencyError
+            raise RootSystemConsistencyError(f"{name} does not preserve the determinant relation")
     return d1, d2
 
 

@@ -23,7 +23,7 @@ from .partitions import (
     count_partitions,
     enumerate_partitions,
 )
-from .rootsys import LieType, _rank_exact
+from .rootsys import LieType, RootSystemConsistencyError, _rank_exact
 
 __all__ = [
     "OrbitCount",
@@ -105,7 +105,7 @@ def classify_nilpotent_orbits_typeA(n: int) -> list[Partition]:
     parts = enumerate_partitions(n + 1)
     expected = nilpotent_orbit_count(LieType("A", n)).count
     if len(parts) != expected:
-        raise RuntimeError(
+        raise RootSystemConsistencyError(
             f"classify A{n}: enumerated {len(parts)} Jordan types, but the"
             f" partition formula counts {expected}")
     return parts

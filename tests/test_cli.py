@@ -8,6 +8,7 @@ import pytest
 
 import orbitkit
 from orbitkit import cli, embedcheck, rootsys
+from orbitkit.lndcalc import sl2
 from orbitkit.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_PASS,
@@ -71,6 +72,11 @@ class TestEmbedCommand:
         code, out, err = run(capsys, "embed", "A9", "C5", "--l", "4")
         assert code == EXIT_USAGE and out == ""
         assert err == "--l 4 does not match the family parameter 5 of A9 > C5\n"
+
+    def test_family_parameter_flag_without_parameter(self, capsys):
+        code, out, err = run(capsys, "embed", "B3", "G2", "--l", "3")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "--l 3 does not apply: B3 > G2 has no family parameter\n"
 
     def test_alias_c2(self, capsys):
         code, out, _ = run(capsys, "embed", "A3", "C2")
@@ -239,6 +245,20 @@ class TestLndVerify:
         assert line.startswith("[FAIL]")
         assert "deg_d1(a1*b2)=>0 deg_d2(a1*b2)=>0" in line
         assert "status: fail (7 records)" in out
+
+    def test_derivation_self_check_is_one_line(self, capsys, monkeypatch):
+        """A derivation that fails the relation check is an internal
+        inconsistency: exit 1 and one stderr line, no traceback."""
+        derivations = sl2.sl2_standard_derivations
+        monkeypatch.setattr(sl2, "preserves_relations", lambda ring, d: False)
+        derivations.cache_clear()
+        try:
+            code, out, err = run(capsys, "lnd", "verify")
+        finally:
+            monkeypatch.undo()
+            derivations.cache_clear()
+        assert code == EXIT_CHECK_FAILURE and out == ""
+        assert err == "internal inconsistency: d1 does not preserve the determinant relation\n"
 
 
 class TestColdProcess:

@@ -3,9 +3,10 @@
 The files under tests/data were written by the CLI before the code
 behind it was restated: the JSON appendix and the embed pairs before the
 case analysis became one table, the text appendix and `lnd verify`
-before the report records were built as JSON values.  Any change to a
-record, its order, or the key order of its outputs shows up here as a
-diff.
+before the report records were built as JSON values, and `orbits`
+before each analyzed pair resolved to its principal-table row.  Any
+change to a record, its order, or the key order of its outputs shows up
+here as a diff.
 """
 
 import hashlib
@@ -54,6 +55,20 @@ def test_embed_every_supported_pair(capsys):
         code = main(["embed", g, r])
         chunks.append(f"$ orbitkit embed {g} {r}\n{capsys.readouterr().out}exit {code}\n")
     assert "".join(chunks) == (DATA / "embed_pairs.txt").read_text()
+
+
+
+# the partition-formula families (with the C2 -> B2 alias and the
+# D-family note) and every exceptional type
+ORBIT_TYPES = ["A1", "A3", "B2", "C2", "B4", "C5", "D4", "D7", "E6", "E7", "E8", "F4", "G2"]
+
+
+def test_orbits_every_family(capsys):
+    chunks = []
+    for t in ORBIT_TYPES:
+        code = main(["orbits", t])
+        chunks.append(f"$ orbitkit orbits {t}\n{capsys.readouterr().out}exit {code}\n")
+    assert "".join(chunks) == (DATA / "orbits.txt").read_text()
 
 
 # sha256 of `report appendix --lmax 50`, the reference output every

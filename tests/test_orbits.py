@@ -20,7 +20,7 @@ from orbitkit.partitions import (
     is_orthogonal_partition,
     is_symplectic_partition,
 )
-from orbitkit.rootsys import LieType
+from orbitkit.rootsys import LieType, RootSystemConsistencyError
 
 T = LieType.from_string
 
@@ -90,7 +90,7 @@ class TestTypeAClassification:
             return replace(oc, count=oc.count + 1)
 
         monkeypatch.setattr(orbits, "nilpotent_orbit_count", off_by_one)
-        with pytest.raises(RuntimeError, match=r"A3: enumerated 5 .* counts 6"):
+        with pytest.raises(RootSystemConsistencyError, match=r"A3: enumerated 5 .* counts 6"):
             classify_nilpotent_orbits_typeA(3)
 
     def test_caps(self):
