@@ -99,7 +99,7 @@ def apply_derivation(ring: QuotientRing, d: Derivation, f: MultiPoly) -> MultiPo
                 lowered = mono[:i] + (e - 1,) + mono[i + 1:]
                 for m, c in d.images[gens[i]].terms.items():
                     _add_term(out, tuple(a + b for a, b in zip(lowered, m)), coef * e * c)
-    return ring.normal_form(MultiPoly(gens, out))
+    return ring.normal_form(MultiPoly._of(gens, out))
 
 
 def delta_degree(ring: QuotientRing, d: Derivation, f: MultiPoly,

@@ -11,6 +11,16 @@ nonzero coefficients, e.g. over generators ("a1", "a2", "b1", "b2")
 Monomials are compared lexicographically in generator order, which is
 the term order used by the quotient-ring rewriting.
 
+Validation happens once, at the public boundary: `MultiPoly(gens,
+terms)`, and through it `zero`, `constant`, `generator` and
+`parse_poly`, checks every exponent vector and makes every coefficient
+a nonzero Fraction.  Results computed here (`+`, `-`, `*`, `**`,
+`substitute`, `QuotientRing.normal_form`, `apply_derivation`) skip the
+checks through `MultiPoly._of`, because they combine checked terms
+only: exponents add (a rewrite subtracts the lead only from monomials
+it divides), Fraction arithmetic gives Fractions, and `_add_term` drops
+every sum that cancels.
+
 Polynomial text (`parse_poly`, and `poly_to_text`'s output) is terms
 joined by `+`/`-`, each term factors joined by `*`, each factor a
 coefficient `n` or `n/d` or a generator `gen` or `gen^k`.
@@ -49,6 +59,16 @@ class MultiPoly:
                 clean[mono] = coef
         self.gens = gens
         self.terms = clean
+
+    @classmethod
+    def _of(cls, gens: tuple[str, ...], terms: dict[Monomial, Fraction]) -> "MultiPoly":
+        """Unchecked constructor.  `terms` must be a dict the caller has
+        just built, never another polynomial's `terms`, with nonnegative
+        exponent vectors of length len(gens) and nonzero Fraction values."""
+        self = object.__new__(cls)
+        self.gens = gens
+        self.terms = terms
+        return self
 
     # -- constructors ------------------------------------------------
 
@@ -91,12 +111,12 @@ class MultiPoly:
         out = dict(self.terms)
         for m, c in other.terms.items():
             _add_term(out, m, c)
-        return MultiPoly(self.gens, out)
+        return MultiPoly._of(self.gens, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.gens, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._of(self.gens, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -112,7 +132,7 @@ class MultiPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 _add_term(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
-        return MultiPoly(self.gens, out)
+        return MultiPoly._of(self.gens, out)
 
     __rmul__ = __mul__
 
@@ -142,7 +162,7 @@ class MultiPoly:
                     term = term * cache[name] ** e
             for m, c in term.terms.items():
                 _add_term(out, m, c)
-        return MultiPoly(self.gens, out)
+        return MultiPoly._of(self.gens, out)
 
     # -- identity ------------------------------------------------------
 

@@ -91,7 +91,7 @@ class QuotientRing:
             shift = tuple(a - b for a, b in zip(mono, lead))
             for rmono, rcoef in self._replacement:
                 _add_term(work, tuple(a + b for a, b in zip(shift, rmono)), coef * rcoef)
-        return MultiPoly(self.gens, done)
+        return MultiPoly._of(self.gens, done)
 
     def __repr__(self):
         return f"QuotientRing(gens={self.gens!r}, relation={self.relation!r})"

@@ -8,6 +8,13 @@ which yields the partitions of n in lexicographically decreasing order.
 A constrained enumeration filters that one stream, so it costs O(p(n))
 whatever the constraint.
 
+Validation happens once, at the public boundary: `Partition(parts)`
+checks every part.  Partitions this module derives itself are built by
+the unchecked `Partition._of`, because they are valid by construction:
+ZS1 emits weakly decreasing positive parts, and a conjugate's column
+lengths are positive and weakly decreasing.  `_of` packs the parts
+exactly as `__init__` does, so the two paths give equal instances.
+
 All values are immutable and all functions are pure.
 """
 
@@ -34,6 +41,17 @@ class PartitionConstraint(Enum):
     DISTINCT_ODD_PARTS = "distinct-odd-parts"
 
 
+# bound once: a full enumeration builds tens of thousands of partitions
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _pack(parts: tuple[int, ...]):
+    """The stored form of weakly decreasing parts: bytes when the largest
+    fits in one, else the tuple itself."""
+    return bytes(parts) if parts and parts[0] < 256 else parts
+
+
 class Partition:
     """A weakly decreasing sequence of positive integers.
 
@@ -54,8 +72,15 @@ class Partition:
                     raise ValueError(f"parts must be positive, got {p}")
                 if i > 0 and parts[i - 1] < p:
                     raise ValueError(f"parts must be weakly decreasing: {parts}")
-        object.__setattr__(self, "_packed",
-                           bytes(parts) if parts and parts[0] < 256 else parts)
+        _set(self, "_packed", _pack(parts))
+
+    @classmethod
+    def _of(cls, parts: tuple[int, ...]) -> "Partition":
+        """Unchecked constructor for parts known to be positive ints in
+        weakly decreasing order."""
+        self = _new(cls)
+        _set(self, "_packed", _pack(parts))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -91,9 +116,13 @@ class Partition:
         return hash(self.parts)
 
     def __lt__(self, other: "Partition"):
+        if not isinstance(other, Partition):
+            return NotImplemented
         return self.parts < other.parts
 
     def __le__(self, other: "Partition"):
+        if not isinstance(other, Partition):
+            return NotImplemented
         return self.parts <= other.parts
 
     def __repr__(self):
@@ -158,7 +187,7 @@ def enumerate_partitions(n: int,
     if constraint is not PartitionConstraint.UNRESTRICTED:
         stream = (p for p in stream if all(map(operator.gt, p, p[1:]))
                   and all(_admits(q, constraint) for q in p))
-    return list(map(Partition, stream))
+    return list(map(Partition._of, stream))
 
 
 # One count table per constraint: _TABLES[c][n] is the number of
@@ -205,7 +234,7 @@ def conjugate_partition(p: Partition) -> Partition:
     for part in p:
         for i in range(part):
             cols[i] += 1
-    return Partition(cols)
+    return Partition._of(tuple(cols))
 
 
 def is_symplectic_partition(p: Partition) -> bool:

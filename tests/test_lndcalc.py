@@ -140,13 +140,19 @@ class TestDerivations:
         d1, _ = derivations
         f = ring.element("a1*b1^2 + a2*b1*b2 + b2^3")
         built = []
-        init = MultiPoly.__init__
+        init, of = MultiPoly.__init__, MultiPoly._of.__func__
 
         def counting_init(self, *args, **kwargs):
             built.append(args)
             init(self, *args, **kwargs)
 
+        def counting_of(cls, *args):
+            built.append(args)
+            return of(cls, *args)
+
+        # count both the checked and the trusted constructor
         monkeypatch.setattr(MultiPoly, "__init__", counting_init)
+        monkeypatch.setattr(MultiPoly, "_of", classmethod(counting_of))
         result = apply_derivation(ring, d1, f)
         assert len(built) == 2  # the Leibniz sum and its normal form
         monkeypatch.undo()
@@ -190,6 +196,34 @@ class TestDerivations:
         d = make_derivation(free, x="y")
         with pytest.raises(ValueError, match=r"derivation over \('x', 'y'\), ring over"):
             apply_derivation(ring, d, ring.generator("a1"))
+
+
+class TestTrustedConstruction:
+    """Results the package computes are built without the checks in
+    `MultiPoly.__init__`; they must equal the checked ones exactly, with
+    nonzero Fraction coefficients, the type `str()` prints."""
+
+    @staticmethod
+    def assert_canonical(p):
+        assert p == MultiPoly(p.gens, p.terms)
+        for mono, coef in p.terms.items():
+            assert type(mono) is tuple and len(mono) == len(p.gens)
+            assert all(type(e) is int and e >= 0 for e in mono)
+            assert type(coef) is Fraction and coef != 0
+
+    def test_results_equal_checked(self, ring, derivations):
+        rng = random.Random(16016)
+        for _ in range(60):
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            f = random_reduced(ring, rng) * c
+            g = random_reduced(ring, rng)
+            results = [f + g, f - g, -f, f + (-f), f * g, f ** rng.randint(0, 4),
+                       f + c, c - f, f * c, f * 2, 2 - f,
+                       f.substitute({"a1": g, "b2": -g}),
+                       ring.normal_form(f * g), ring.normal_form(g ** 3)]
+            results += [apply_derivation(ring, d, h) for d in derivations for h in (f, f * g)]
+            for p in results:
+                self.assert_canonical(p)
 
 
 class TestDeltaDegree:

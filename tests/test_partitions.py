@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 
 import pytest
@@ -122,6 +123,58 @@ class TestPartitionType:
         assert Partition((255, 45)) < Partition((256,)) < Partition((256, 1))
         assert sorted([Partition((300,)), Partition((2, 1)), Partition((255, 45))]) == [
             Partition((2, 1)), Partition((255, 45)), Partition((300,))]
+
+
+    @pytest.mark.parametrize("other", [3, (3, 1), [3, 1], "31", None], ids=repr)
+    def test_order_against_other_types_is_a_type_error(self, other):
+        p = Partition((3, 1))
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(p, other)
+            with pytest.raises(TypeError):
+                compare(other, p)
+        assert p != other and not p == other
+
+    def test_order_against_partitions(self):
+        p, q = Partition((3, 1)), Partition((4,))
+        assert p < q and p <= q and q > p and q >= p
+        assert p <= Partition((3, 1)) and p >= Partition((3, 1))
+        assert not (q < p or q <= p or p > q or p >= q)
+
+
+class TestTrustedConstruction:
+    """Partitions the module derives itself skip the checks in
+    `Partition.__init__`; they must equal the checked ones exactly."""
+
+    @pytest.mark.parametrize("c", list(PartitionConstraint), ids=lambda c: c.value)
+    def test_enumerated_equal_checked_to_25(self, c):
+        for n in range(26):
+            for p in enumerate_partitions(n, c):
+                q = Partition(p.parts)
+                assert p == q and hash(p) == hash(q)
+                assert type(p._packed) is type(q._packed) and p._packed == q._packed
+
+    @pytest.mark.parametrize("parts", [(), (1,), (3, 1), (5, 5, 2, 1), (255,) * 3,
+                                       (1,) * 255, (1,) * 256, (1,) * 300, (300, 2)], ids=len)
+    def test_conjugate_equals_checked(self, parts):
+        p = conjugate_partition(Partition(parts))
+        q = Partition(p.parts)
+        assert p == q and type(p._packed) is type(q._packed)
+        assert conjugate_partition(p) == Partition(parts)
+
+    def test_enumeration_skips_the_checks(self, monkeypatch):
+        calls = []
+        init = Partition.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Partition, "__init__", counting_init)
+        assert len(enumerate_partitions(41)) == 44583
+        assert len(enumerate_partitions(41, D)) == count_partitions(41, D)
+        conjugate_partition(Partition((4, 2, 1)))
+        assert len(calls) == 1  # the Partition((4, 2, 1)) above
 
 
 def reference_partitions(n, max_part, constraint, prefix=()):
