@@ -139,21 +139,20 @@ class MultiPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        result = MultiPoly.constant(self.gens, 1)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return MultiPoly.constant(self.gens, 1) if result is None else result
 
     def substitute(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Replace each named generator by a polynomial (same generator
         context); generators not named map to themselves."""
         out: dict[Monomial, Fraction] = {}
-        cache = {name: images.get(name, MultiPoly.generator(self.gens, name))
+        cache = {name: images[name] if name in images else MultiPoly.generator(self.gens, name)
                  for name in self.gens}
         for mono, coef in self.terms.items():
             term = MultiPoly.constant(self.gens, coef)

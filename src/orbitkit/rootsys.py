@@ -5,7 +5,8 @@ coordinates summing to zero, B/C/D_n in n coordinates, G_2 in three
 sum-zero coordinates, and the E/F systems in coordinates scaled by 2 so
 that every root vector is integral.  Every type is built one way: the
 Cartan matrix is computed from the ambient simple roots, and the positive
-roots are the simple roots closed under the simple reflections.
+roots are the simple roots closed under the simple reflections; the
+closure yields each root's coefficient and ambient vectors together.
 
 Self-checks raise RootSystemConsistencyError.  Before the closure runs:
 a zero simple root, a non-integral Cartan pairing, a G2/F4 matrix unlike
@@ -154,26 +155,17 @@ def _simple_roots(t: LieType) -> tuple[Vector, ...]:
     return tuple(map(tuple, roots))
 
 
-def _sparse(v: Vector) -> tuple[tuple[int, int], ...]:
-    return tuple((k, x) for k, x in enumerate(v) if x)
-
-
 def _cartan_from_simple(simple: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
     """Entry (i, j) is 2(a_i, a_j)/(a_j, a_j); raises unless every root is
     nonzero (so the diagonal is exactly 2) and every entry integral."""
-    # A classical simple root has at most two nonzero entries, so sparse
-    # pairing costs rank^2 rather than rank^2 * dim (a third of the dense
-    # time over the rank <= 30 builds in the tests).
-    sparse = [_sparse(a) for a in simple]
-    maps = [dict(s) for s in sparse]
-    norms = [sum(x * x for _, x in s) for s in sparse]
+    norms = [sum(x * x for x in a) for a in simple]
     if 0 in norms:
         raise RootSystemConsistencyError(f"simple root {norms.index(0) + 1} is zero")
     rows = []
-    for sa in sparse:
+    for a in simple:
         row = []
-        for bmap, den in zip(maps, norms):
-            num = 2 * sum(x * bmap.get(k, 0) for k, x in sa)
+        for b, den in zip(simple, norms):
+            num = 2 * sum(x * y for x, y in zip(a, b))
             if num % den:
                 raise RootSystemConsistencyError(
                     f"non-integral Cartan pairing; norms {den}")
@@ -208,20 +200,22 @@ def _rank_exact(rows: list[list[int]]) -> int:
     return rank
 
 
-def _closure_from_cartan(cartan: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
-    """Positive roots as coefficient vectors over the simple roots.
+def _closure_from_cartan(cartan: Sequence[Sequence[int]],
+                         simple: Sequence[Vector]) -> dict[tuple[int, ...], Vector]:
+    """Positive roots: coefficient vector over the simple roots -> ambient vector.
 
     s_j(c) = c - <c, a_j^v> a_j permutes the positive roots other than a_j
     (Humphreys, Introduction to Lie Algebras, 10.2), and every positive
     root of height > 1 is s_j of a lower one, so closing the simple roots
-    under the s_j, dropping -a_j, yields them all."""
+    under the s_j, dropping -a_j, yields them all.  The same step maps
+    the ambient vector v of c to v - <c, a_j^v> a_j."""
     rank = len(cartan)
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in cartan]
-    roots = {tuple(int(i == j) for j in range(rank)) for i in range(rank)}
-    frontier = list(roots)
+    roots = {tuple(int(i == j) for j in range(rank)): a for i, a in enumerate(simple)}
+    frontier = list(roots.items())
     while frontier:
         fresh = []
-        for c in frontier:
+        for c, v in frontier:
             pairings = [0] * rank
             for i, ci in enumerate(c):
                 if ci:
@@ -239,19 +233,10 @@ def _closure_from_cartan(cartan: Sequence[Sequence[int]]) -> set[tuple[int, ...]
                     continue
                 image = tuple(image)
                 if image not in roots:
-                    roots.add(image)
-                    fresh.append(image)
+                    vec = roots[image] = tuple(x - p * a for x, a in zip(v, simple[j]))
+                    fresh.append((image, vec))
         frontier = fresh
     return roots
-
-
-def _recombine(sparse_simple, coeffs: Sequence[int], dim: int) -> Vector:
-    vec = [0] * dim
-    for c, alpha in zip(coeffs, sparse_simple):
-        if c:
-            for k, a in alpha:
-                vec[k] += c * a
-    return tuple(vec)
 
 
 @lru_cache(maxsize=None)
@@ -276,10 +261,7 @@ def build_root_system(t: LieType) -> RootSystem:
         raise RootSystemConsistencyError(
             f"singular Cartan matrix in {t}: the simple roots are dependent")
 
-    sparse_simple = [_sparse(a) for a in simple]
-    dim = len(simple[0])
-    roots = sorted((sum(c), _recombine(sparse_simple, c, dim))
-                   for c in _closure_from_cartan(cartan))
+    roots = sorted((sum(c), v) for c, v in _closure_from_cartan(cartan, simple).items())
     for h, v in roots:
         if (h == 1) != (v in simple):
             raise RootSystemConsistencyError(f"height-1 roots must be simple; offender {v} in {t}")

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,7 @@ from orbitkit.embedcheck import (
     rank2_cases_report,
     subregular_membership_check,
 )
+from orbitkit.orbits import nilpotent_orbit_count, subregular_partition
 from orbitkit.rootsys import LieType, group_dimension
 
 T = LieType.from_string
@@ -90,6 +92,55 @@ class TestRank2Report:
     def test_lmax_validation(self):
         with pytest.raises(ValueError):
             rank2_cases_report(3)
+
+    def test_failing_case_raises(self, monkeypatch):
+        monkeypatch.setattr(embedcheck, "nilpotent_orbit_count",
+                            lambda t: replace(nilpotent_orbit_count(t), count=1)
+                            if t == T("A7") else nilpotent_orbit_count(t))
+        with pytest.raises(InconsistencyError,
+                           match=r"case \(4\) fails at A7 > C4: orbit counts 1 vs 14"):
+            rank2_cases_report(4)
+
+
+def jordan_types(n, largest=None):
+    """Partitions of n as weakly decreasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in jordan_types(n - first, first):
+            yield (first,) + rest
+
+
+def symplectic(parts):
+    """Each odd part occurs an even number of times."""
+    return all(parts.count(k) % 2 == 0 for k in parts if k % 2)
+
+
+def orthogonal(parts):
+    """Each even part occurs an even number of times."""
+    return all(parts.count(k) % 2 == 0 for k in parts if k % 2 == 0)
+
+
+@pytest.mark.parametrize("l", range(2, 13))
+def test_missed_orbits_count_and_contain_subregular(l):
+    # R acts on G's natural module, where a nilpotent of R keeps its
+    # Jordan type, so R reaches exactly these G-orbits (Collingwood and
+    # McGovern, ch. 5); every other Jordan type of G is missed by R
+    rows = [(T(f"A{2 * l - 1}"), T(f"C{l}"), set(jordan_types(2 * l)),
+             {p for p in jordan_types(2 * l) if symplectic(p)}),
+            (T(f"A{2 * l}"), T(f"B{l}"), set(jordan_types(2 * l + 1)),
+             {p for p in jordan_types(2 * l + 1) if orthogonal(p)})]
+    if l >= 4:
+        rows.append((T(f"D{l}"), T(f"B{l - 1}"),
+                     {p for p in jordan_types(2 * l) if orthogonal(p)},
+                     {p + (1,) for p in jordan_types(2 * l - 1) if orthogonal(p)}))
+    for g, r, orbits_g, reached in rows:
+        assert reached <= orbits_g
+        missed = orbits_g - reached
+        counts = orbit_count_criterion(g, r).numbers
+        assert len(missed) == counts["orbit_count_g"] - counts["orbit_count_r"], (g, r)
+        assert subregular_partition(g).parts in missed, (g, r)
 
 
 class TestPrincipalTable:

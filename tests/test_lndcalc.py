@@ -5,6 +5,7 @@ import pytest
 
 from orbitkit import lndcalc
 from orbitkit.lndcalc import (
+    Derivation,
     KernelMembershipError,
     MultiPoly,
     NotNilpotentError,
@@ -106,6 +107,10 @@ class TestQuotientRing:
         assert str(ring.element("x*y")) == "1/2*y^2 + 1"
         assert ring.normal_form(ring.relation).is_zero()
 
+    def test_duplicate_generator_names_rejected(self):
+        with pytest.raises(ValueError, match="duplicate generator names"):
+            QuotientRing(("x", "y", "x"))
+
     def test_gen_mismatch(self, ring):
         with pytest.raises(ValueError):
             ring.normal_form(MultiPoly.generator(("x",), "x"))
@@ -190,6 +195,16 @@ class TestDerivations:
         d1, _ = derivations
         with pytest.raises(ValueError, match="polynomial over .*'c1'.*, ring over"):
             apply_derivation(ring, d1, MultiPoly.generator(ring.gens + ("c1",), "c1"))
+
+    def test_direct_construction_checks_images(self):
+        gens = ("x", "y")
+        x, y = (MultiPoly.generator(gens, g) for g in gens)
+        with pytest.raises(ValueError, match=r"no image for generators \['y'\]"):
+            Derivation(gens, {"x": y})
+        with pytest.raises(ValueError, match="image given for unknown generator 'z'"):
+            Derivation(gens, {"x": y, "y": x, "z": x})
+        with pytest.raises(ValueError, match="image of 'y' is over different generators"):
+            Derivation(gens, {"x": y, "y": MultiPoly.generator(("y",), "y")})
 
     def test_derivation_of_another_ring_rejected(self, ring):
         free = QuotientRing(("x", "y"))
@@ -420,6 +435,13 @@ class TestTorusAction:
 
     def test_non_homogeneous_flagged(self, ring):
         assert diagonal_torus_weight(ring.element("a1 + a2")) is None
+
+    def test_zero_has_weight_zero(self, ring):
+        assert diagonal_torus_weight(ring.zero()) == 0
+
+    def test_foreign_generators_rejected(self):
+        with pytest.raises(ValueError, match="expected a polynomial over"):
+            diagonal_torus_weight(MultiPoly.generator(("a1", "c1"), "a1"))
 
     def test_weights_add_under_product(self, ring):
         # the determinant relation has weight 0, so reduction preserves

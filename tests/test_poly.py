@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from orbitkit.lndcalc.poly import MultiPoly, PolyParseError, parse_poly, poly_to_text
+from orbitkit.lndcalc.sl2 import sign_flip_fixes_hypersurface
 
 GENS = ("a1", "a2", "b1", "b2")
 
@@ -39,11 +40,9 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             p ** -1
 
-    def test_power_squares_only_while_bits_remain(self, monkeypatch):
-        # p**8: three squarings and one multiply into the unit; squaring
-        # again after the last bit would be a wasted fifth product
-        p = gen("a1") + gen("b2") + 1
-        expected = p * p * p * p * p * p * p * p
+    @pytest.fixture
+    def products(self, monkeypatch):
+        """The list of MultiPoly products made since it was last cleared."""
         calls = []
         original = MultiPoly.__mul__
 
@@ -52,8 +51,26 @@ class TestArithmetic:
             return original(self, other)
 
         monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+        return calls
+
+    def test_power_squares_only_while_bits_remain(self, products):
+        # p**8: three squarings and nothing else; the first set bit takes
+        # the base as it is, and squaring after the last bit would be waste
+        p = gen("a1") + gen("b2") + 1
+        expected = p * p * p * p * p * p * p * p
+        products.clear()
         assert p ** 8 == expected
-        assert len(calls) == 4
+        assert len(products) == 3
+
+    def test_power_one_is_the_base(self, products):
+        p = gen("a1") + gen("b2") + 1
+        counts = []
+        for n in (1, 2, 4):
+            products.clear()
+            p ** n
+            counts.append(len(products))
+        assert p ** 1 == p
+        assert counts == [0, 1, 2]
 
     def test_scalar_and_fraction_coefficients(self):
         p = Fraction(1, 2) * gen("b1") + Fraction(1, 3)
@@ -68,6 +85,10 @@ class TestArithmetic:
         assert MultiPoly.zero(GENS).total_degree() == -1
         assert MultiPoly.constant(GENS, 5).total_degree() == 0
         assert (gen("a1") * gen("b1") ** 2).total_degree() == 3
+
+    def test_unknown_generator_name(self):
+        with pytest.raises(ValueError, match="'c1' is not one of the generators"):
+            MultiPoly.generator(GENS, "c1")
 
     def test_generator_mismatch(self):
         other = MultiPoly.generator(("x", "y"), "x")
@@ -86,6 +107,20 @@ class TestArithmetic:
         assert p.substitute(flip) == p
         odd = parse_poly("u + v*z^2", gens)
         assert odd.substitute(flip) == -odd
+
+    def test_substitute_builds_only_missing_generators(self, monkeypatch):
+        # sign_flip_fixes_hypersurface builds its three images; substitute
+        # must not build a default generator for names it was given
+        calls = []
+        original = MultiPoly.generator.__func__
+
+        def counting_generator(cls, gens, name):
+            calls.append(name)
+            return original(cls, gens, name)
+
+        monkeypatch.setattr(MultiPoly, "generator", classmethod(counting_generator))
+        assert sign_flip_fixes_hypersurface()
+        assert calls == ["u", "v", "z"]
 
     def test_invalid_exponents(self):
         with pytest.raises(ValueError):

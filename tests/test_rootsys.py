@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from orbitkit import rootsys
@@ -19,6 +21,12 @@ ALL_RANK_LE_8 = (
     + [LieType("E", n) for n in (6, 7, 8)]
     + [LieType("F", 4), LieType("G", 2)]
 )
+
+
+# sha256 of the simple roots, ordered positive roots, heights and Cartan
+# matrix of A1-A30, B2-B30, C3-C30, D4-D30, G2, F4 and E6-E8; a change
+# to how the roots are built must leave it unchanged
+ROOT_SYSTEMS_SHA256 = "dff3ea9c1f4f63865e447181c9d03da41ae1342a7a08c514472cb2264876065c"
 
 
 def closed_form_dimension(t: LieType) -> int:
@@ -123,6 +131,17 @@ class TestConstruction:
                 t = LieType(family, rank)
                 assert group_dimension(t) == build_root_system(t).dimension, t
 
+    def test_root_system_digest(self):
+        types = ([LieType(f, n) for f, m in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+                  for n in range(m, 31)]
+                 + [LieType("G", 2), LieType("F", 4)] + [LieType("E", n) for n in (6, 7, 8)])
+        digest = hashlib.sha256()
+        for t in types:
+            rs = build_root_system(t)
+            digest.update(repr((str(t), rs.simple_roots, rs.positive_roots,
+                                tuple(rs.heights.items()), rs.cartan_matrix)).encode())
+        assert digest.hexdigest() == ROOT_SYSTEMS_SHA256
+
     def test_large_ranks_build_no_roots(self, monkeypatch):
         simple_roots = rootsys._simple_roots
 
@@ -176,7 +195,7 @@ class TestSelfChecks:
 
     @pytest.fixture
     def corrupt(self, monkeypatch):
-        def no_closure(cartan):
+        def no_closure(cartan, simple):
             raise AssertionError("closure ran on corrupted data")
 
         def install(roots):
@@ -238,6 +257,11 @@ class TestHeights:
         for label, h in expected.items():
             rs = build_root_system(LieType.from_string(label))
             assert max(rs.heights.values()) == h, label
+
+    def test_height_of_positive_root(self):
+        rs = build_root_system(LieType("B", 3))
+        assert [rs.height(list(v)) for v in rs.simple_roots] == [1, 1, 1]
+        assert rs.height(rs.positive_roots[-1]) == 5
 
     def test_unknown_root_rejected(self):
         rs = build_root_system(LieType("A", 2))
