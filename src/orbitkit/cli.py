@@ -5,7 +5,7 @@ Commands
     embed <G> <R> [--l N]                 verdict for one embedding case
     report appendix [--lmax N] [--format text|json]
                                           full case-analysis reproduction
-    lnd verify [--cap N]                  SL2 derivation verification suite
+    lnd verify [--cap N]                  SL2 derivation suite (lndcalc/sl2.py)
 
 Exit codes: 0 pass, 1 check failure, 2 usage or parse error,
 3 unsupported case.  Every handler returns a Report, and `main` takes
@@ -42,8 +42,8 @@ from .embedcheck import (
 from .orbits import nilpotent_orbit_count
 from .rootsys import InvalidLieTypeError, LieType
 
-# lndcalc is imported inside the `lnd` handlers: no other command uses
-# it, and every cold process would pay for loading it.
+# lndcalc is imported inside the `lnd verify` handler: no other command
+# uses it, and every cold process would pay for loading it.
 
 __all__ = ["Record", "Report", "UsageError", "main", "console_main",
            "EXIT_PASS", "EXIT_CHECK_FAILURE", "EXIT_USAGE", "EXIT_UNSUPPORTED"]
@@ -190,77 +190,11 @@ def cmd_report_appendix(args) -> Report:
 
 
 def cmd_lnd_verify(args) -> Report:
-    cap = args.cap
-    if cap < 0:
-        raise UsageError(f"--cap must be at least 0, got {cap}")
-    from .lndcalc import (
-        NotNilpotentError,
-        degrees_compatible,
-        delta_degree,
-        hypersurface_identity_holds,
-        is_in_kernel,
-        preserves_relations,
-        sign_flip_fixes_hypersurface,
-        sl2_coordinate_ring,
-        sl2_standard_derivations,
-        verify_semicompatibility_witness,
-    )
-    ring = sl2_coordinate_ring()
-    d1, d2 = sl2_standard_derivations()
-    gens = {name: ring.generator(name) for name in ring.gens}
-    results = []
-
-    def check(anchor, inputs, outputs, passed):
-        results.append(Record("lnd-check", anchor, inputs, outputs, passed))
-
-    def degree(d, f) -> int | str:
-        """delta_degree, or ">cap" when d^(cap+1) f is still nonzero."""
-        try:
-            return delta_degree(ring, d, f, cap)
-        except NotNilpotentError:
-            return f">{cap}"
-
-    preserved = {"d1": preserves_relations(ring, d1), "d2": preserves_relations(ring, d2)}
-    check("determinant relation preserved", {"relation": str(ring.relation)},
-          preserved, all(preserved.values()))
-
-    degrees = {f"deg_{label}({name})": degree(d, g)
-               for label, d in (("d1", d1), ("d2", d2)) for name, g in gens.items()}
-    check(f"local nilpotence on generators (cap {cap})", {"cap": cap}, degrees,
-          all(isinstance(v, int) for v in degrees.values()))
-
-    memberships = {
-        "a1 in ker d1": is_in_kernel(ring, d1, gens["a1"]),
-        "a2 in ker d1": is_in_kernel(ring, d1, gens["a2"]),
-        "b1 in ker d2": is_in_kernel(ring, d2, gens["b1"]),
-        "b2 in ker d2": is_in_kernel(ring, d2, gens["b2"]),
-        "b1 not in ker d1": not is_in_kernel(ring, d1, gens["b1"]),
-        "a1 not in ker d2": not is_in_kernel(ring, d2, gens["a1"]),
-    }
-    check("kernel memberships", {}, memberships, all(memberships.values()))
-
-    witness = verify_semicompatibility_witness(
-        ring, d1, d2, [gens["a1"], gens["a2"]], [gens["b1"], gens["b2"]])
-    check("semi-compatibility witness",
-          {"kernel1": ["a1", "a2"], "kernel2": ["b1", "b2"], "degree_cap": witness.degree_cap},
-          {"equation": witness.equation(), "found_degree": witness.found_degree},
-          witness.found)
-
-    a = ring.element("a1*b2")
-    deg1, deg2 = degree(d1, a), degree(d2, a)
-    check("compatibility element a1*b2", {"a": "a1*b2"},
-          {"deg_d1(a1*b2)": deg1, "deg_d2(a1*b2)": deg2}, degrees_compatible(deg1, deg2))
-
-    reduces = hypersurface_identity_holds()
-    check("invariant hypersurface", {"u": "a1*a2", "v": "b1*b2", "z": "a2*b1 + 1/2"},
-          {"identity": "u*v - z^2 + 1/4 == 0 in C[SL2]", "reduces_to_zero": reduces},
-          reduces)
-
-    flip_fixed = sign_flip_fixes_hypersurface()
-    check("sign-flip equivariance", {"action": "(u,v,z) -> (-u,-v,-z)"},
-          {"fixes_hypersurface": flip_fixed}, flip_fixed)
-
-    return Report(command=f"lnd verify --cap {cap}", results=results)
+    if args.cap < 0:
+        raise UsageError(f"--cap must be at least 0, got {args.cap}")
+    from .lndcalc import sl2_checks
+    results = [Record("lnd-check", *check) for check in sl2_checks(args.cap)]
+    return Report(command=f"lnd verify --cap {args.cap}", results=results)
 
 
 # -- argument parsing ------------------------------------------------------

@@ -149,19 +149,23 @@ class MultiPoly:
         return MultiPoly.constant(self.gens, 1) if result is None else result
 
     def substitute(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Replace each named generator by a polynomial (same generator
-        context); generators not named map to themselves."""
-        out: dict[Monomial, Fraction] = {}
+        """Replace each named generator by its image; generators not named
+        map to themselves.  The images share one generator context, which the
+        result is over.  A term of k factors costs k - 1 products."""
         cache = {name: images[name] if name in images else MultiPoly.generator(self.gens, name)
                  for name in self.gens}
+        gens = cache[self.gens[0]].gens if self.gens else self.gens
+        if any(image.gens != gens for image in cache.values()):
+            raise ValueError(f"images over generators other than {gens}")
+        out: dict[Monomial, Fraction] = {}
         for mono, coef in self.terms.items():
-            term = MultiPoly.constant(self.gens, coef)
+            term = None
             for name, e in zip(self.gens, mono):
                 if e:
-                    term = term * cache[name] ** e
-            for m, c in term.terms.items():
-                _add_term(out, m, c)
-        return MultiPoly._of(self.gens, out)
+                    term = cache[name] ** e if term is None else term * cache[name] ** e
+            for m, c in (term.terms.items() if term is not None else [((0,) * len(gens), 1)]):
+                _add_term(out, m, coef * c)
+        return MultiPoly._of(gens, out)
 
     # -- identity ------------------------------------------------------
 

@@ -11,30 +11,32 @@ triangular unipotent subgroups are
 and the diagonal torus acting by right multiplication scales the first
 column by t^-1 and the second by t, giving the generator weights used
 for the invariant-ring checks.
+
+`sl2_checks` is the suite `lnd verify` prints; the constants below
+state once the facts it checks.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .derivations import Derivation, make_derivation, preserves_relations
+from .derivations import (Derivation, KernelMembershipError, NotNilpotentError,
+                          degrees_compatible, delta_degree, make_derivation,
+                          preserves_relations, verify_semicompatibility_witness)
 from .poly import MultiPoly, parse_poly
 from .quotient import QuotientRing
 
-__all__ = [
-    "SL2_GENERATORS",
-    "DIAGONAL_TORUS_WEIGHTS",
-    "sl2_coordinate_ring",
-    "sl2_standard_derivations",
-    "sl2_invariant_generators",
-    "diagonal_torus_weight",
-    "hypersurface_identity_holds",
-    "sign_flip_fixes_hypersurface",
-    "verify_invariant_hypersurface",
-]
+__all__ = ["SL2_GENERATORS", "DIAGONAL_TORUS_WEIGHTS", "sl2_coordinate_ring",
+           "sl2_standard_derivations", "sl2_invariant_generators", "diagonal_torus_weight",
+           "hypersurface_identity_holds", "sign_flip_fixes_hypersurface",
+           "verify_invariant_hypersurface", "sl2_checks"]
 
 SL2_GENERATORS = ("a1", "a2", "b1", "b2")
 
 DIAGONAL_TORUS_WEIGHTS = {"a1": -1, "a2": 1, "b1": -1, "b2": 1}
+
+_KERNELS = (("a1", "a2"), ("b1", "b2"))  # generators of ker d1 and of ker d2
+_ELEMENT = "a1*b2"  # degree 1 under both d1 and d2
+_INVARIANTS = {"u": "a1*a2", "v": "b1*b2", "z": "a2*b1 + 1/2"}
+_HYPERSURFACE = "u*v - z^2 + 1/4"
 
 
 @lru_cache(maxsize=1)
@@ -60,10 +62,9 @@ def sl2_standard_derivations() -> tuple[Derivation, Derivation]:
 
 
 def sl2_invariant_generators() -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """Generators u = a1*a2, v = b1*b2, z = a2*b1 + 1/2 of the ring of
-    invariants of the diagonal torus action."""
+    """Generators u, v, z of the ring of invariants of the diagonal torus action."""
     ring = sl2_coordinate_ring()
-    return ring.element("a1*a2"), ring.element("b1*b2"), ring.element("a2*b1 + 1/2")
+    return tuple(ring.element(text) for text in _INVARIANTS.values())
 
 
 def diagonal_torus_weight(f: MultiPoly) -> int | None:
@@ -82,16 +83,15 @@ def diagonal_torus_weight(f: MultiPoly) -> int | None:
 
 def hypersurface_identity_holds() -> bool:
     """Whether u*v - z^2 + 1/4 vanishes in C[SL2]."""
-    ring = sl2_coordinate_ring()
-    u, v, z = sl2_invariant_generators()
-    return ring.normal_form(u * v - z * z + ring.constant(Fraction(1, 4))).is_zero()
+    images = dict(zip(_INVARIANTS, sl2_invariant_generators()))
+    relation = parse_poly(_HYPERSURFACE, _INVARIANTS)
+    return sl2_coordinate_ring().normal_form(relation.substitute(images)).is_zero()
 
 
 def sign_flip_fixes_hypersurface() -> bool:
     """Whether (u,v,z) -> (-u,-v,-z) fixes u*v - z^2 + 1/4 in C[u,v,z]."""
-    gens = ("u", "v", "z")
-    relation = parse_poly("u*v - z^2 + 1/4", gens)
-    flip = {name: -MultiPoly.generator(gens, name) for name in gens}
+    relation = parse_poly(_HYPERSURFACE, _INVARIANTS)
+    flip = {name: -MultiPoly.generator(relation.gens, name) for name in relation.gens}
     return relation.substitute(flip) == relation
 
 
@@ -99,3 +99,54 @@ def verify_invariant_hypersurface() -> bool:
     """Conjunction of the hypersurface identity in C[SL2] and its
     invariance under the residual sign-flip action."""
     return hypersurface_identity_holds() and sign_flip_fixes_hypersurface()
+
+
+def sl2_checks(cap: int) -> list[tuple[str, dict, dict, bool]]:
+    """The `lnd verify` suite as (anchor, inputs, outputs, passed) tuples.
+    A nilpotence degree above `cap` (>= 0) reads ">cap"; degree 0 means
+    the element is in the kernel, which is what the memberships read."""
+    ring = sl2_coordinate_ring()
+    derivations = dict(zip(("d1", "d2"), sl2_standard_derivations()))
+
+    def degree(d, f) -> int | str:
+        try:
+            return delta_degree(ring, d, f, cap)
+        except NotNilpotentError:
+            return f">{cap}"
+
+    preserved = {label: preserves_relations(ring, d) for label, d in derivations.items()}
+    degrees = {f"deg_{label}({name})": degree(d, ring.generator(name))
+               for label, d in derivations.items() for name in ring.gens}
+    # each derivation kills its kernel generators and moves the other's first one
+    kernel1, kernel2 = _KERNELS
+    memberships = {f"{g} in ker {label}": degrees[f"deg_{label}({g})"] == 0
+                   for label, kernel in zip(derivations, _KERNELS) for g in kernel}
+    memberships |= {f"{g} not in ker {label}": degrees[f"deg_{label}({g})"] != 0
+                    for label, g in zip(derivations, (kernel2[0], kernel1[0]))}
+    witness_inputs = {"kernel1": list(kernel1), "kernel2": list(kernel2), "degree_cap": 3}
+    try:  # a wrong stated kernel fails this record as well as the memberships
+        witness = verify_semicompatibility_witness(
+            ring, *derivations.values(), *([ring.generator(g) for g in k] for k in _KERNELS),
+            witness_inputs["degree_cap"])
+    except KernelMembershipError as exc:
+        witness_check = {"equation": str(exc)}, False
+    else:
+        witness_check = ({"equation": witness.equation(), "found_degree": witness.found_degree},
+                         witness.found)
+    a = ring.element(_ELEMENT)
+    element = {f"deg_{label}({_ELEMENT})": degree(d, a) for label, d in derivations.items()}
+    holds, flip_fixed = hypersurface_identity_holds(), sign_flip_fixes_hypersurface()
+    return [
+        ("determinant relation preserved", {"relation": str(ring.relation)},
+         preserved, all(preserved.values())),
+        (f"local nilpotence on generators (cap {cap})", {"cap": cap},
+         degrees, all(isinstance(v, int) for v in degrees.values())),
+        ("kernel memberships", {}, memberships, all(memberships.values())),
+        ("semi-compatibility witness", witness_inputs, *witness_check),
+        (f"compatibility element {_ELEMENT}", {"a": _ELEMENT},
+         element, degrees_compatible(*element.values())),
+        ("invariant hypersurface", dict(_INVARIANTS),
+         {"identity": f"{_HYPERSURFACE} == 0 in C[SL2]", "reduces_to_zero": holds}, holds),
+        ("sign-flip equivariance", {"action": "(u,v,z) -> (-u,-v,-z)"},
+         {"fixes_hypersurface": flip_fixed}, flip_fixed),
+    ]

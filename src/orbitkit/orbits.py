@@ -139,8 +139,6 @@ def centralizer_dimension_oracle(p: Partition) -> int:
     if k > ORACLE_SIZE_CAP:
         raise CapacityError(
             f"oracle solves a {k * k} x {k * k} system; cap is total <= {ORACLE_SIZE_CAP}")
-    if k == 0:
-        return 0
     n = _jordan_matrix(p)
     rows = []
     for i in range(k):

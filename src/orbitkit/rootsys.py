@@ -287,7 +287,6 @@ def positive_root_count(t: LieType) -> int:
     return {"A": n * (n + 1) // 2, "D": n * (n - 1)}.get(t.family, n * n)
 
 
-@lru_cache(maxsize=None)
 def group_dimension(t: LieType) -> int:
     """Dimension of the simple group: number of roots plus the rank."""
     return 2 * positive_root_count(t) + t.rank

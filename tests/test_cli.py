@@ -95,8 +95,7 @@ class TestEmbedCommand:
     def test_root_system_self_check_is_one_line(self, capsys, monkeypatch):
         """A failed root-system self-check ends like every other internal
         inconsistency: exit 1 and one stderr line, no traceback."""
-        caches = (rootsys.build_root_system, rootsys.positive_root_count,
-                  rootsys.group_dimension)
+        caches = (rootsys.build_root_system, rootsys.positive_root_count)
         simple_roots = rootsys._simple_roots
         monkeypatch.setattr(rootsys, "_simple_roots", lambda t: (
             rootsys._G2_SIMPLE[::-1] if t.family == "G" else simple_roots(t)))
@@ -205,8 +204,7 @@ class TestAppendixReport:
         assert code == EXIT_PASS and calls == []
 
     def test_root_systems_built_for_exceptional_types_only(self, capsys):
-        for cached in (rootsys.build_root_system, rootsys.positive_root_count,
-                       rootsys.group_dimension):
+        for cached in (rootsys.build_root_system, rootsys.positive_root_count):
             cached.cache_clear()
         code, _, _ = run(capsys, "report", "appendix", "--lmax", "60")
         assert code == EXIT_PASS
@@ -244,6 +242,20 @@ class TestLndVerify:
         line = next(l for l in out.splitlines() if "compatibility element" in l)
         assert line.startswith("[FAIL]")
         assert "deg_d1(a1*b2)=>0 deg_d2(a1*b2)=>0" in line
+        assert "status: fail (7 records)" in out
+
+    def test_memberships_check_the_stated_kernels(self, capsys, monkeypatch):
+        """The memberships read the degree table, so a wrong statement
+        fails them: here d1 is said to kill b1."""
+        monkeypatch.setattr(sl2, "_KERNELS", (("a1", "b1"), ("b1", "b2")))
+        code, out, err = run(capsys, "lnd", "verify")
+        assert code == EXIT_CHECK_FAILURE and err == ""
+        lines = {l.split(":")[0]: l for l in out.splitlines()}
+        assert lines["[FAIL] kernel memberships"].endswith(
+            "a1 in ker d1=True b1 in ker d1=False b1 in ker d2=True b2 in ker d2=True"
+            " b1 not in ker d1=True a1 not in ker d2=True")
+        assert lines["[FAIL] semi-compatibility witness"].endswith(
+            "equation=b1 is not in the kernel of the first derivation")
         assert "status: fail (7 records)" in out
 
     def test_derivation_self_check_is_one_line(self, capsys, monkeypatch):

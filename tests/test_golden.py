@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitkit.cli import main
+from orbitkit.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -85,3 +85,20 @@ def test_appendix_lmax50_digest(capsys, fmt):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == APPENDIX_LMAX50_SHA256[fmt]
+
+
+# sha256 of the JSON of the `lnd verify` report at cap 4 and cap 0.  The
+# command prints text only, so these pin what the text golden leaves
+# out: every record's `inputs`.
+LND_VERIFY_JSON_SHA256 = {
+    4: "e01b0c4190d3e3d9d5faf4e01d841a3e7805ef683bdc1a9c70935371db8c0643",
+    0: "c07ed7c6e1c4ece6397a34b0bbc068b48f30f4c0237af9557b9f0e1409204768",
+}
+
+
+@pytest.mark.parametrize("cap", sorted(LND_VERIFY_JSON_SHA256))
+def test_lnd_verify_json_digest(cap):
+    args = build_parser().parse_args(["lnd", "verify", "--cap", str(cap)])
+    report = args.handler(args)
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == LND_VERIFY_JSON_SHA256[cap]

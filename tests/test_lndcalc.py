@@ -111,6 +111,10 @@ class TestQuotientRing:
         with pytest.raises(ValueError, match="duplicate generator names"):
             QuotientRing(("x", "y", "x"))
 
+    def test_repr_shows_generators_and_relation(self, ring):
+        assert repr(ring) == ("QuotientRing(gens=('a1', 'a2', 'b1', 'b2'), relation="
+                              "MultiPoly(('a1', 'a2', 'b1', 'b2'), 'a1*b2 - a2*b1 - 1'))")
+
     def test_gen_mismatch(self, ring):
         with pytest.raises(ValueError):
             ring.normal_form(MultiPoly.generator(("x",), "x"))
@@ -496,7 +500,7 @@ def test_export_list():
         "SL2_GENERATORS", "WitnessReport", "WitnessTerm", "apply_derivation",
         "degrees_compatible", "delta_degree", "diagonal_torus_weight",
         "hypersurface_identity_holds", "is_in_kernel", "make_derivation", "parse_poly",
-        "poly_to_text", "preserves_relations", "sign_flip_fixes_hypersurface",
+        "poly_to_text", "preserves_relations", "sign_flip_fixes_hypersurface", "sl2_checks",
         "sl2_coordinate_ring", "sl2_invariant_generators", "sl2_standard_derivations",
         "verify_compatibility_condition2", "verify_invariant_hypersurface",
         "verify_semicompatibility_witness",

@@ -177,6 +177,14 @@ class TestDimensions:
         with pytest.raises(TypeError):
             orbit_dimension_typeA(Partition((2.9, 1.9)))
 
+    def test_oracle_on_empty_partition(self):
+        # the 0 x 0 commutator system: no rows, rank 0, kernel dimension 0
+        assert centralizer_dimension_oracle(Partition()) == 0
+
+    def test_zero_count_refused(self):
+        with pytest.raises(ValueError, match="at least the zero orbit"):
+            orbits.OrbitCount(T("A1"), count=0, method="partition-formula")
+
     def test_oracle_cap(self):
         with pytest.raises(CapacityError):
             centralizer_dimension_oracle(Partition((9,)))

@@ -108,6 +108,32 @@ class TestArithmetic:
         odd = parse_poly("u + v*z^2", gens)
         assert odd.substitute(flip) == -odd
 
+    def test_substitute_scales_each_term_last(self, products):
+        # u*v and z^2 cost one product each; the coefficient scales the
+        # product of the images instead of starting a throwaway product
+        gens = ("u", "v", "z")
+        p = parse_poly("u*v - z^2 + 1/4", gens)
+        flip = {n: -MultiPoly.generator(gens, n) for n in gens}
+        products.clear()
+        assert p.substitute(flip) == p
+        assert len(products) == 2
+
+    def test_substitute_into_another_context(self):
+        # every generator named, so the result is over the images' generators
+        p = parse_poly("3*u*v^2 - 1/2", ("u", "v"))
+        images = {"u": gen("a1") + gen("b2"), "v": gen("a2")}
+        assert p.substitute(images) == 3 * (gen("a1") + gen("b2")) * gen("a2") ** 2 - Fraction(1, 2)
+        assert parse_poly("7", ("u", "v")).substitute(images) == MultiPoly.constant(GENS, 7)
+
+    def test_substitute_refuses_mixed_contexts(self):
+        # v is not named, so it would map to itself over ("u", "v")
+        p = parse_poly("u + v", ("u", "v"))
+        with pytest.raises(ValueError, match="images over generators other than"):
+            p.substitute({"u": gen("a1")})
+
+    def test_repr_names_generators_and_text(self):
+        assert repr(gen("a1") - 2) == "MultiPoly(('a1', 'a2', 'b1', 'b2'), 'a1 - 2')"
+
     def test_substitute_builds_only_missing_generators(self, monkeypatch):
         # sign_flip_fixes_hypersurface builds its three images; substitute
         # must not build a default generator for names it was given

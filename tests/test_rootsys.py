@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -152,7 +153,6 @@ class TestConstruction:
 
         monkeypatch.setattr(rootsys, "_simple_roots", no_classical_builds)
         build_root_system.cache_clear()
-        group_dimension.cache_clear()
         positive_root_count.cache_clear()
         rows = principal_table(200)
         assert max(row.case.g_type.rank for row in rows) == 400
@@ -232,6 +232,14 @@ class TestSelfChecks:
         corrupt(((1, -1, 0), (-1, 1, 0)))
         with pytest.raises(RootSystemConsistencyError, match="singular Cartan matrix in A2"):
             build_root_system(LieType("A", 2))
+
+
+def test_closure_refuses_mixed_sign_coefficients():
+    # positive off-diagonal Cartan entries reflect a simple root into
+    # alpha_1 - alpha_2, neither positive nor negative
+    with pytest.raises(RootSystemConsistencyError,
+                       match=re.escape("mixed-sign root coefficients (1, -1)")):
+        rootsys._closure_from_cartan(((2, 1), (1, 2)), ((1, 0), (0, 1)))
 
 
 class TestHeights:
