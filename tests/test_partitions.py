@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import operator
 import pickle
 
@@ -197,6 +198,17 @@ class TestEnumeration:
         for n in range(31):
             got = [p.parts for p in enumerate_partitions(n, c)]
             assert got == list(reference_partitions(n, n, c)), n
+
+    def test_stream_digest(self):
+        """sha256 over every enumerated partition, U to 41 and D, DO to 35,
+        one line per partition; pins the order as well as the content."""
+        digest = hashlib.sha256()
+        for c, top in ((U, 41), (D, 35), (DO, 35)):
+            for n in range(top + 1):
+                for p in enumerate_partitions(n, c):
+                    digest.update(f"{c.value}:{','.join(map(str, p.parts))}\n".encode())
+        assert digest.hexdigest() == (
+            "85e47dc28210c028ce8ba7d1ac606d433f58b3d26886a05f0fe42465c1b16a16")
 
     def test_partitions_of_41(self):
         ps = enumerate_partitions(41)
