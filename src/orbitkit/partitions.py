@@ -2,18 +2,19 @@
 multiplicity predicates used to classify nilpotent orbits in the
 classical matrix algebras.
 
-Enumeration is Zoghbi and Stojmenovic's iterative ZS1 ("Fast algorithms
-for generating integer partitions", Int. J. Comput. Math. 70, 1998),
-which yields the partitions of n in lexicographically decreasing order.
-A constrained enumeration filters that one stream, so it costs O(p(n))
-whatever the constraint.
+Enumeration walks leading parts: a partition of n is its largest part j
+followed by a partition of n - j with parts <= j.  Parts above 4 are
+walked one at a time, and the run of parts <= 4 ending each partition
+comes from tables built once per call, so each partition costs one bytes
+concatenation; packing parts in bytes limits enumeration to n <= 255.
+The order is lexicographically decreasing, and a constrained enumeration
+filters that one stream, so it costs O(p(n)) whatever the constraint.
 
 Validation happens once, at the public boundary: `Partition(parts)`
-checks every part.  Partitions this module derives itself are built by
-the unchecked `Partition._of`, because they are valid by construction:
-ZS1 emits weakly decreasing positive parts, and a conjugate's column
-lengths are positive and weakly decreasing.  `_of` packs the parts
-exactly as `__init__` does, so the two paths give equal instances.
+checks every part.  Partitions this module derives itself skip it, being
+valid by construction and packed as `__init__` packs them: the walk
+emits weakly decreasing positive parts as bytes, and a conjugate's column
+lengths (built by `Partition._of`) are positive and weakly decreasing.
 
 All values are immutable and all functions are pure.
 """
@@ -21,7 +22,6 @@ All values are immutable and all functions are pure.
 import operator
 from collections import Counter
 from enum import Enum
-from typing import Iterator
 
 __all__ = [
     "Partition",
@@ -138,37 +138,28 @@ def _admits(p: int, constraint: PartitionConstraint) -> bool:
     return True
 
 
-def _zs1(n: int) -> Iterator[tuple[int, ...]]:
-    """Every partition of n >= 1 as a tuple of parts, in lexicographically
-    decreasing order (ZS1).  x[:m] is the current partition, every part
-    after x[h] is 1, and x[m:] holds only 1s."""
-    x = [1] * n
-    x[0] = n
-    m, h = 1, 0
-    yield (n,)
-    while x[0] != 1:
-        if x[h] == 2:
-            # ..., 2, 1, ..., 1 -> ..., 1, 1, ..., 1, 1
-            x[h] = 1
-            m += 1
-            h -= 1
-        else:
-            # lower x[h] by one and refill the tail with parts of size r
-            r = x[h] - 1
-            t = m - h
-            x[h] = r
-            while t >= r:
-                h += 1
-                x[h] = r
-                t -= r
-            if t == 0:
-                m = h + 1
-            else:
-                m = h + 2
-                if t > 1:
-                    h += 1
-                    x[h] = t
-        yield tuple(x[:m])
+_SMALL = 4  # parts up to this size come from the shared tables; 3 and 5 measured slower
+
+
+def _packed_partitions(n: int) -> list[bytes]:
+    """Every partition of 1 <= n <= 255 packed as bytes, in
+    lexicographically decreasing order."""
+    small = [[b""]] + [[]] * n  # small[m]: partitions of m with parts <= k, here k = 0
+    for k in range(1, _SMALL + 1):
+        head = bytes((k,))
+        shorter, small = small, small[:k]
+        for m in range(k, n + 1):  # largest part k first, then the parts < k
+            small.append([head + t for t in small[m - k]] + shorter[m])
+    packed: list[bytes] = []
+
+    def walk(prefix: bytes, m: int, k: int) -> None:
+        # prefix followed by every partition of m with parts <= k
+        for j in range(min(k, m), _SMALL, -1):
+            walk(prefix + bytes((j,)), m - j, j)
+        packed.extend([prefix + t for t in small[m]])
+
+    walk(b"", n, n)
+    return packed
 
 
 def enumerate_partitions(n: int,
@@ -177,17 +168,24 @@ def enumerate_partitions(n: int,
     """All partitions of n satisfying the constraint, each exactly once,
     in lexicographically decreasing order.
 
-    n = 0 yields the single empty partition under every constraint.
+    n = 0 yields the single empty partition under every constraint, and
+    n above 255 is refused up front (p(256) is about 3.7e14).
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative total: {n}")
+    if n > 255:
+        raise ValueError(f"cannot enumerate the {count_partitions(n)} partitions of {n}: "
+                         "enumeration stops at n = 255")
     if n == 0:
         return [Partition()]
-    stream = _zs1(n)
+    stream = _packed_partitions(n)
     if constraint is not PartitionConstraint.UNRESTRICTED:
-        stream = (p for p in stream if all(map(operator.gt, p, p[1:]))
-                  and all(_admits(q, constraint) for q in p))
-    return list(map(Partition._of, stream))
+        stream = [p for p in stream if all(map(operator.gt, p, p[1:]))
+                  and all(_admits(q, constraint) for q in p)]
+    partitions = [_new(Partition) for _ in stream]
+    for p, packed in zip(partitions, stream):
+        _set(p, "_packed", packed)
+    return partitions
 
 
 # One count table per constraint: _TABLES[c][n] is the number of

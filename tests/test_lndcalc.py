@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from orbitkit import lndcalc
+from orbitkit.lndcalc import sl2
 from orbitkit.lndcalc import (
     Derivation,
     KernelMembershipError,
@@ -491,6 +492,26 @@ def test_no_whole_polynomial_re_adding(ring, derivations, monkeypatch):
         assert not apply_derivation(ring, d, f).is_zero()
     assert len(parse_poly("a1^2*b1 - 3*a2*b1^2 + 1/2*b2 + 5", ring.gens).terms) == 4
     assert len(relation.substitute(flip).terms) == 3
+
+
+def test_sl2_checks_reuse_the_relation_check(monkeypatch):
+    # a cold suite checks each derivation against the relation once, when
+    # it is built; the suite's record reports that check
+    calls = []
+
+    def counting(ring, d):
+        calls.append(d)
+        return preserves_relations(ring, d)
+
+    monkeypatch.setattr(sl2, "preserves_relations", counting)
+    sl2_standard_derivations.cache_clear()
+    try:
+        records = lndcalc.sl2_checks(4)
+    finally:
+        monkeypatch.undo()
+        sl2_standard_derivations.cache_clear()
+    assert len(calls) == 2
+    assert records[0][2:] == ({"d1": True, "d2": True}, True)
 
 
 def test_export_list():

@@ -254,6 +254,12 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_partitions(-1)
 
+    @pytest.mark.parametrize("c", list(PartitionConstraint), ids=lambda c: c.value)
+    def test_refuses_totals_past_255(self, c):
+        # refused up front, naming the p(256) partitions the walk would cover
+        with pytest.raises(ValueError, match=f"the {count_partitions(256)} partitions of 256:"):
+            enumerate_partitions(256, c)
+
 
 class TestCounting:
     def test_examples(self):
