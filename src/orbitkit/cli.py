@@ -4,20 +4,21 @@ Commands
     orbits <TYPE>                         nilpotent orbit count of one type
     embed <G> <R> [--l N]                 verdict for one embedding case
     report appendix [--lmax N] [--format text|json]
-                                          full case-analysis reproduction
+                                          case-analysis reproduction (embedcheck.py)
     lnd verify [--cap N]                  SL2 derivation suite (lndcalc/sl2.py)
 
 Exit codes: 0 pass, 1 check failure, 2 usage or parse error,
-3 unsupported case.  Every handler returns a Report, and `main` takes
-the exit code from its status: 0 when every record passes, 1 when one
-fails.  A failed internal self-check exits 1 with one line on stderr.
-The report goes to stdout as text or JSON; the JSON is output only,
-nothing here reads it back.  A refused input (a missing, unknown or
-malformed argument, an argument out of range, a type that does not
-parse) leaves stdout empty and prints one line on stderr, with exit 2.
-`--help` prints the usage and exits 0.  When the reader closes stdout
-early (`orbitkit ... | head -1`), the report is cut off without a
-traceback and the exit code is still the command's own.
+3 unsupported case.  A handler renders one layer's checks as a Report
+(embedcheck.appendix_checks, lndcalc.sl2_checks, one verdict, one orbit
+count), and `main` takes the exit code from its status: 0 when every
+record passes, 1 when one fails.  A failed internal self-check exits 1
+with one line on stderr.  The report goes to stdout as text or JSON;
+the JSON is output only, nothing here reads it back.  A refused input
+(a missing, unknown or malformed argument, an argument out of range, a
+type that does not parse) leaves stdout empty and prints one line on
+stderr, with exit 2.  `--help` prints the usage and exits 0.  When the
+reader closes stdout early (`orbitkit ... | head -1`), the report is
+cut off without a traceback and the exit code stays the command's own.
 """
 
 import argparse
@@ -29,15 +30,11 @@ from dataclasses import dataclass
 from . import __version__
 from .embedcheck import (
     DEFAULT_L_MAX,
-    PAPER_GAP_EXCEPTIONS,
-    CaseVerdict,
-    EmbeddingCase,
     InconsistencyError,
     UnsupportedCaseError,
     _L_MAX_MIN,
+    appendix_checks,
     embedding_verdict,
-    principal_table,
-    rank2_cases_report,
 )
 from .orbits import nilpotent_orbit_count
 from .rootsys import InvalidLieTypeError, LieType
@@ -105,27 +102,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _verdict_outputs(v: CaseVerdict) -> dict:
-    out = {"criterion": v.criterion.value, "witness": v.witness.value,
-           "holds": v.holds, **v.numbers}
-    if v.partition is not None:
-        out["partition"] = str(v.partition)
-    if v.citation is not None:
-        out["citation"] = v.citation
-    if v.note is not None:
-        out["note"] = v.note
-    return out
-
-
-def _case_inputs(case: EmbeddingCase) -> dict:
-    return {"g": str(case.g_type), "r": str(case.r_type), "l": case.family_parameter}
-
-
-def _verdict_record(v: CaseVerdict, anchor: str) -> Record:
-    return Record(kind="verdict", anchor=anchor, inputs=_case_inputs(v.case),
-                  outputs=_verdict_outputs(v), passed=v.holds)
-
-
 # -- command handlers ----------------------------------------------------
 
 
@@ -157,7 +133,7 @@ def cmd_embed(args) -> Report:
         raise UsageError(f"--l {args.l} does not apply: {g} > {r} has no family parameter")
     if args.l is not None and l != args.l:
         raise UsageError(f"--l {args.l} does not match the family parameter {l} of {g} > {r}")
-    record = _verdict_record(verdict, f"embedding verdict: {g} > {r}")
+    record = Record(*verdict.as_check(f"embedding verdict: {g} > {r}"))
     extra = f" --l {args.l}" if args.l is not None else ""
     return Report(command=f"embed {args.g} {args.r}{extra}", results=[record])
 
@@ -165,27 +141,7 @@ def cmd_embed(args) -> Report:
 def cmd_report_appendix(args) -> Report:
     if not _L_MAX_MIN <= args.lmax <= LMAX_CAP:
         raise UsageError(f"--lmax must be between {_L_MAX_MIN} and {LMAX_CAP}, got {args.lmax}")
-    results = [_verdict_record(v, f"orbit-count case ({v.numbers['case']}): {v.case}")
-               for v in rank2_cases_report(args.lmax)]
-    rows = principal_table(args.lmax)
-    for row in rows:
-        suffix = f" l={row.case.family_parameter}" if row.case.family_parameter else ""
-        outputs = {"rank_plus_3": row.rank_plus_3, "dim_gap": row.dim_gap,
-                   "gap_exceeds": row.gap_exceeds}
-        if row.alias_note:
-            outputs["alias"] = row.alias_note
-        results.append(Record(
-            kind="table-row", anchor=f"principal table row: {row.case}{suffix}",
-            inputs=_case_inputs(row.case), outputs=outputs, passed=True))
-    for row in rows:
-        v = row.subregular_check()
-        results.append(_verdict_record(v, f"subregular check: {v.case}"))
-    exceptions = sorted(str(row.case) for row in rows if not row.gap_exceeds)
-    results.append(Record(
-        kind="table-row", anchor="dimension-gap exception set",
-        inputs={"l_max": args.lmax},
-        outputs={"expected": list(PAPER_GAP_EXCEPTIONS), "found": exceptions},
-        passed=exceptions == list(PAPER_GAP_EXCEPTIONS)))
+    results = [Record(*check) for check in appendix_checks(args.lmax)]
     return Report(command=f"report appendix --lmax {args.lmax}", results=results)
 
 

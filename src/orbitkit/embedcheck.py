@@ -48,6 +48,7 @@ __all__ = [
     "dimension_gap_exceptions",
     "subregular_membership_check",
     "embedding_verdict",
+    "appendix_checks",
 ]
 
 DEFAULT_L_MAX = 50
@@ -84,6 +85,9 @@ class EmbeddingCase:
     def __str__(self):
         return f"{self.g_type} > {self.r_type}"
 
+    def as_inputs(self) -> dict:
+        return {"g": str(self.g_type), "r": str(self.r_type), "l": self.family_parameter}
+
 
 @dataclass(frozen=True)
 class CaseVerdict:
@@ -101,6 +105,18 @@ class CaseVerdict:
         if not self.holds:
             return Witness.NONE
         return Witness.PRINCIPAL if self.criterion is Criterion.ORBIT_COUNT else Witness.SUBREGULAR
+
+    def as_check(self, anchor: str) -> tuple[str, str, dict, dict, bool]:
+        """This verdict as a report check, (kind, anchor, inputs, outputs, passed)."""
+        outputs = {"criterion": self.criterion.value, "witness": self.witness.value,
+                   "holds": self.holds, **self.numbers}
+        if self.partition is not None:
+            outputs["partition"] = str(self.partition)
+        if self.citation is not None:
+            outputs["citation"] = self.citation
+        if self.note is not None:
+            outputs["note"] = self.note
+        return "verdict", anchor, self.case.as_inputs(), outputs, self.holds
 
 
 @dataclass(frozen=True)
@@ -226,7 +242,7 @@ _CASES = (
 _L_MAX_MIN = max(rec.l_min for rec in _CASES if rec.l_min is not None)
 
 # The paper's claim that exactly these rows have dim G - dim R <= rank G + 3.
-# Stated, not derived from _CASES: `report appendix` tests the table against it.
+# Stated, not derived from _CASES: appendix_checks tests the table against it.
 PAPER_GAP_EXCEPTIONS = ("A3 > B2", "D4 > B3")
 
 
@@ -329,10 +345,14 @@ def dimension_gap_check(g: LieType, r: LieType) -> CaseVerdict:
     return _identify(g, r).gap_check()
 
 
+def _gap_exceptions(rows: list[PrincipalRow]) -> list[EmbeddingCase]:
+    return [row.case for row in rows if not row.gap_exceeds]
+
+
 def dimension_gap_exceptions(l_max: int = DEFAULT_L_MAX) -> list[EmbeddingCase]:
     """Rows of the principal table whose dimension gap does not exceed
     rank G + 3; these need the refined subregular argument."""
-    return [row.case for row in principal_table(l_max) if not row.gap_exceeds]
+    return _gap_exceptions(principal_table(l_max))
 
 
 def subregular_membership_check(g: LieType, r: LieType) -> CaseVerdict:
@@ -364,3 +384,26 @@ def embedding_verdict(g: LieType, r: LieType) -> CaseVerdict:
                **gap.numbers, **membership.numbers}
     return replace(membership, numbers=numbers,
                    note=membership.note if gap.holds else gap.note)
+
+
+def appendix_checks(l_max: int = DEFAULT_L_MAX) -> list[tuple[str, str, dict, dict, bool]]:
+    """The `report appendix` checks: orbit-count cases, table rows, their
+    subregular checks, and the table's exception set against the paper's."""
+    checks = [v.as_check(f"orbit-count case ({v.numbers['case']}): {v.case}")
+              for v in rank2_cases_report(l_max)]
+    rows = principal_table(l_max)
+    for row in rows:
+        suffix = f" l={row.case.family_parameter}" if row.case.family_parameter else ""
+        outputs = {"rank_plus_3": row.rank_plus_3, "dim_gap": row.dim_gap,
+                   "gap_exceeds": row.gap_exceeds}
+        if row.alias_note:
+            outputs["alias"] = row.alias_note
+        checks.append(("table-row", f"principal table row: {row.case}{suffix}",
+                       row.case.as_inputs(), outputs, True))
+    checks += [v.as_check(f"subregular check: {v.case}")
+               for v in map(PrincipalRow.subregular_check, rows)]
+    found = sorted(map(str, _gap_exceptions(rows)))
+    checks.append(("table-row", "dimension-gap exception set", {"l_max": l_max},
+                   {"expected": list(PAPER_GAP_EXCEPTIONS), "found": found},
+                   found == list(PAPER_GAP_EXCEPTIONS)))
+    return checks

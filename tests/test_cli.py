@@ -187,7 +187,6 @@ class TestAppendixReport:
 
         table = embedcheck.principal_table
         monkeypatch.setattr(embedcheck, "principal_table", spy)
-        monkeypatch.setattr(cli, "principal_table", spy)
         code, _, _ = run(capsys, "report", "appendix", "--lmax", "8")
         assert code == EXIT_PASS and calls == [8]
 

@@ -22,6 +22,7 @@ from orbitkit.embedcheck import (
 )
 from orbitkit.orbits import nilpotent_orbit_count, subregular_partition
 from orbitkit.rootsys import LieType, group_dimension
+from perfbench.oracles import partitions_of
 
 T = LieType.from_string
 
@@ -102,16 +103,6 @@ class TestRank2Report:
             rank2_cases_report(4)
 
 
-def jordan_types(n, largest=None):
-    """Partitions of n as weakly decreasing tuples."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest or n), 0, -1):
-        for rest in jordan_types(n - first, first):
-            yield (first,) + rest
-
-
 def symplectic(parts):
     """Each odd part occurs an even number of times."""
     return all(parts.count(k) % 2 == 0 for k in parts if k % 2)
@@ -127,14 +118,14 @@ def test_missed_orbits_count_and_contain_subregular(l):
     # R acts on G's natural module, where a nilpotent of R keeps its
     # Jordan type, so R reaches exactly these G-orbits (Collingwood and
     # McGovern, ch. 5); every other Jordan type of G is missed by R
-    rows = [(T(f"A{2 * l - 1}"), T(f"C{l}"), set(jordan_types(2 * l)),
-             {p for p in jordan_types(2 * l) if symplectic(p)}),
-            (T(f"A{2 * l}"), T(f"B{l}"), set(jordan_types(2 * l + 1)),
-             {p for p in jordan_types(2 * l + 1) if orthogonal(p)})]
+    rows = [(T(f"A{2 * l - 1}"), T(f"C{l}"), set(partitions_of(2 * l)),
+             {p for p in partitions_of(2 * l) if symplectic(p)}),
+            (T(f"A{2 * l}"), T(f"B{l}"), set(partitions_of(2 * l + 1)),
+             {p for p in partitions_of(2 * l + 1) if orthogonal(p)})]
     if l >= 4:
         rows.append((T(f"D{l}"), T(f"B{l - 1}"),
-                     {p for p in jordan_types(2 * l) if orthogonal(p)},
-                     {p + (1,) for p in jordan_types(2 * l - 1) if orthogonal(p)}))
+                     {p for p in partitions_of(2 * l) if orthogonal(p)},
+                     {p + (1,) for p in partitions_of(2 * l - 1) if orthogonal(p)}))
     for g, r, orbits_g, reached in rows:
         assert reached <= orbits_g
         missed = orbits_g - reached

@@ -1,15 +1,20 @@
-"""Source hygiene: no assertion or bare RuntimeError as a runtime check.
+"""Source hygiene: no assertion or bare RuntimeError as a runtime check,
+and an oracle module that shares no code with orbitkit.
 
 An `assert` vanishes under `python -O`, and a bare AssertionError or
 RuntimeError escapes the CLI's one-line refusal paths as a traceback.
 Internal inconsistencies raise RootSystemConsistencyError (or another
 named subclass), which `main` reports on one stderr line.
+
+The tests take their independent oracles from `perfbench/oracles.py`;
+an oracle that imported orbitkit would check orbitkit against itself.
 """
 
 import ast
 from pathlib import Path
 
 import orbitkit
+from perfbench import oracles
 
 SRC = Path(orbitkit.__file__).parent
 BANNED_RAISES = {"AssertionError", "RuntimeError"}
@@ -49,3 +54,36 @@ def test_detector_flags_each_form():
     assert _violations(source) == [
         (1, "assert"), (2, "raise AssertionError"), (3, "raise RuntimeError"),
         (4, "raise RuntimeError")]
+
+
+def _orbitkit_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each import of orbitkit, and of each relative
+    import, since the other perfbench modules do import orbitkit."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, "." * node.level + (node.module or "")))
+    return [(line, name) for line, name in found
+            if name.startswith(".") or name.split(".")[0] == "orbitkit"]
+
+
+def test_oracles_import_nothing_from_orbitkit():
+    assert _orbitkit_imports(Path(oracles.__file__).read_text()) == []
+
+
+def test_import_detector_flags_each_form():
+    source = "\n".join([
+        "import orbitkit",
+        "import fractions, orbitkit.rootsys as rs",
+        "from orbitkit import cli",
+        "from orbitkit.partitions import Partition",
+        "from math import comb",
+        "import orbitkitten",
+        "from . import shim",
+        "from ..perfbench.worker import run",
+    ])
+    assert _orbitkit_imports(source) == [
+        (1, "orbitkit"), (2, "orbitkit.rootsys"), (3, "orbitkit"), (4, "orbitkit.partitions"),
+        (7, "."), (8, "..perfbench.worker")]

@@ -21,6 +21,7 @@ from orbitkit.partitions import (
     is_symplectic_partition,
 )
 from orbitkit.rootsys import LieType, RootSystemConsistencyError
+from perfbench.oracles import PartitionCounts
 
 T = LieType.from_string
 
@@ -71,6 +72,15 @@ class TestCounts:
             assert count(f"A{2*l-1}") > count(f"C{l}"), l
         for l in range(4, 51):
             assert count(f"D{l}") > count(f"B{l-1}"), l
+
+    @pytest.mark.parametrize("family,min_rank", [("A", 1), ("B", 2), ("C", 3), ("D", 4)])
+    def test_classical_counts_match_jordan_type_oracle(self, family, min_rank):
+        # the oracle counts the Jordan types each classical algebra allows
+        # by generating functions, not by the pair-of-partitions formula
+        oracle = PartitionCounts()
+        for rank in range(min_rank, 101):
+            t = LieType(family, rank)
+            assert nilpotent_orbit_count(t).count == oracle.orbit_count(family, rank), t
 
 
 class TestTypeAClassification:

@@ -15,51 +15,22 @@ from orbitkit.partitions import (
     is_orthogonal_partition,
     is_symplectic_partition,
 )
+from perfbench.oracles import PartitionCounts
 
 U = PartitionConstraint.UNRESTRICTED
 D = PartitionConstraint.DISTINCT_PARTS
 DO = PartitionConstraint.DISTINCT_ODD_PARTS
 
-
-def pentagonal_count(n, _memo={0: 1}):
-    """Euler's pentagonal-number recurrence; independent of the package
-    counting code."""
-    if n in _memo:
-        return _memo[n]
-    total, k = 0, 1
-    while k * (3 * k - 1) // 2 <= n:
-        sign = 1 if k % 2 else -1
-        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if g <= n:
-                total += sign * pentagonal_count(n - g)
-        k += 1
-    _memo[n] = total
-    return total
-
-
-def pentagonal_terms(limit):
-    """(sign, g) for the generalized pentagonal numbers g <= limit, so
-    that prod(1 - x^k) is the sum of sign * x^g."""
-    terms, k = [(1, 0)], 1
-    while k * (3 * k - 1) // 2 <= limit:
-        sign = -1 if k % 2 else 1
-        terms += [(sign, g) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
-                  if g <= limit]
-        k += 1
-    return terms
-
-
-def distinct_count(n):
-    """Distinct parts: prod(1 + x^k) = P(x) * E(x^2), with E the
-    pentagonal series; independent of the package counting code."""
-    return sum(sign * pentagonal_count(n - 2 * g) for sign, g in pentagonal_terms(n // 2))
+# p(n) and q(n) (distinct parts) from Euler's pentagonal recurrence,
+# independent of the package counting code
+COUNTS = PartitionCounts()
 
 
 def distinct_odd_count(n, _memo={}):
     """Distinct odd parts, DO(x), solved from prod(1 + x^k) = DO(x) * Q(x^2)."""
     if n not in _memo:
-        _memo[n] = distinct_count(n) - sum(distinct_count(j) * distinct_odd_count(n - 2 * j)
-                                           for j in range(1, n // 2 + 1))
+        _memo[n] = COUNTS.q(n) - sum(COUNTS.q(j) * distinct_odd_count(n - 2 * j)
+                                     for j in range(1, n // 2 + 1))
     return _memo[n]
 
 
@@ -274,7 +245,7 @@ class TestCounting:
 
     def test_pentagonal_oracle_to_40(self):
         for n in range(41):
-            assert count_partitions(n, U) == pentagonal_count(n), n
+            assert count_partitions(n, U) == COUNTS.p(n), n
 
     def test_large_totals_do_not_overflow(self):
         # Python ints are unbounded; pin a classical value as a regression
@@ -288,7 +259,7 @@ class TestCounting:
 class TestSharedTables:
     # oracle values for every total up to 300, computed in increasing n
     EXPECTED = {c: [oracle(n) for n in range(301)] for c, oracle in
-                ((U, pentagonal_count), (D, distinct_count), (DO, distinct_odd_count))}
+                ((U, COUNTS.p), (D, COUNTS.q), (DO, distinct_odd_count))}
 
     def test_oracles_pinned(self):
         assert self.EXPECTED[U][200] == 3972999029388
