@@ -11,14 +11,19 @@ does not double very even partitions (see OrbitCount.notes).
 The centralizer oracle recomputes Jordan-type centralizer dimensions
 from scratch, by solving the commutator linear system exactly with
 fraction-free integer elimination, so the conjugate-partition dimension
-formula is tested against something it does not share code with.
+formula is tested against something it does not share code with.  The
+Jordan matrix N is block diagonal, so block (a, b) of [N, Y] involves
+only block (a, b) of Y: the oracle solves one block pair at a time.
 """
 
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .partitions import (
     Partition,
     PartitionConstraint,
+    _counts,
     conjugate_partition,
     count_partitions,
     enumerate_partitions,
@@ -38,7 +43,7 @@ __all__ = [
 EXCEPTIONAL_ORBIT_COUNTS = {"G2": 5, "F4": 16, "E6": 21, "E7": 45, "E8": 70}
 
 # Enumeration caps: classification materializes every partition, and the
-# centralizer oracle solves a k^2 x k^2 linear system.
+# centralizer oracle solves an ab x ab system per pair of block sizes (a, b).
 CLASSIFY_RANK_CAP = 40
 ORACLE_SIZE_CAP = 8
 
@@ -65,15 +70,11 @@ class OrbitCount:
 
 def _pair_count(total: int, lam_weight: int, mu_constraint: PartitionConstraint) -> int:
     """Pairs (lambda, mu) with lam_weight*|lambda| + |mu| = total and mu
-    constrained.  The mu table is sized for the largest total first, so
-    the loop reads it without growing it step by step."""
-    count_partitions(total, mu_constraint)
-    count = 0
-    for mu_total in range(total % lam_weight, total + 1, lam_weight):
-        lam_total = (total - mu_total) // lam_weight
-        count += (count_partitions(lam_total)
-                  * count_partitions(mu_total, mu_constraint))
-    return count
+    constrained: |lambda| = 0, 1, ... meets |mu| = total, total - lam_weight, ..."""
+    lam_max = total // lam_weight
+    lam = _counts(lam_max, PartitionConstraint.UNRESTRICTED)
+    mu = _counts(total, mu_constraint)
+    return sum(map(operator.mul, lam[:lam_max + 1], mu[total::-lam_weight]))
 
 
 def nilpotent_orbit_count(t: LieType) -> OrbitCount:
@@ -120,38 +121,34 @@ def orbit_dimension_typeA(p: Partition) -> int:
     return k * k - sum(q * q for q in conjugate_partition(p))
 
 
-def _jordan_matrix(p: Partition) -> list[list[int]]:
-    k = p.total
-    mat = [[0] * k for _ in range(k)]
-    offset = 0
-    for size in p:
-        for r in range(offset, offset + size - 1):
-            mat[r][r + 1] = 1
-        offset += size
-    return mat
+def _block_pair_kernel(a: int, b: int) -> int:
+    """Dimension of the a x b matrices Y with J_a Y = Y J_b, for nilpotent
+    Jordan blocks J_a and J_b: the kernel of an ab x ab system."""
+    rows = []
+    for i in range(a):
+        for j in range(b):
+            # coefficient of Y[t][s] (column t*b + s) in (J_a Y - Y J_b)[i][j]
+            row = [0] * (a * b)
+            if i + 1 < a:
+                row[(i + 1) * b + j] = 1
+            if j > 0:
+                row[i * b + j - 1] = -1
+            rows.append(row)
+    return a * b - _rank_exact(rows)
 
 
 def centralizer_dimension_oracle(p: Partition) -> int:
     """Dimension of the space of k x k matrices commuting with the
-    nilpotent Jordan matrix of type p, computed as the exact kernel
-    dimension of the commutator system [N, Y] = 0."""
+    nilpotent Jordan matrix N of type p, computed as the exact kernel
+    dimension of the commutator system [N, Y] = 0, one pair of Jordan
+    blocks at a time; equal block sizes share one solve."""
     k = p.total
     if k > ORACLE_SIZE_CAP:
-        raise CapacityError(
-            f"oracle solves a {k * k} x {k * k} system; cap is total <= {ORACLE_SIZE_CAP}")
-    n = _jordan_matrix(p)
-    rows = []
-    for i in range(k):
-        for j in range(k):
-            # coefficient of Y[t][s] in (NY - YN)[i][j]
-            row = [0] * (k * k)
-            for t in range(k):
-                if n[i][t]:
-                    row[t * k + j] += n[i][t]
-                if n[t][j]:
-                    row[i * k + t] -= n[t][j]
-            rows.append(row)
-    return k * k - _rank_exact(rows)
+        raise CapacityError(f"oracle solves block systems of up to {max(p) ** 2} rows"
+                            f" for a partition of {k}; cap is total <= {ORACLE_SIZE_CAP}")
+    sizes = Counter(p)
+    return sum(m * n * _block_pair_kernel(a, b)
+               for a, m in sizes.items() for b, n in sizes.items())
 
 
 _SUBREGULAR_SUPPORT = ("A_r with r >= 2", "D_l with l >= 4", "B3")

@@ -1,12 +1,13 @@
-"""Integer partitions: enumeration, constrained counting, and the
-multiplicity predicates used to classify nilpotent orbits in the
-classical matrix algebras.
+"""Integer partitions: enumeration, counting from one shared table per
+constraint (read only through `_counts`), and the multiplicity predicates
+used to classify nilpotent orbits in the classical matrix algebras.
 
 Enumeration walks leading parts: a partition of n is its largest part j
 followed by a partition of n - j with parts <= j.  Parts above 4 are
 walked one at a time, and the run of parts <= 4 ending each partition
-comes from tables built once per call, so each partition costs one bytes
-concatenation; packing parts in bytes limits enumeration to n <= 255.
+comes from tables built once per call; `map` makes each partition with
+one bytes concatenation and stores it in its instance, with no Python
+loop per item.  Packing parts in bytes limits enumeration to n <= 255.
 The order is lexicographically decreasing, and a constrained enumeration
 filters that one stream, so it costs O(p(n)) whatever the constraint.
 
@@ -149,14 +150,14 @@ def _packed_partitions(n: int) -> list[bytes]:
         head = bytes((k,))
         shorter, small = small, small[:k]
         for m in range(k, n + 1):  # largest part k first, then the parts < k
-            small.append([head + t for t in small[m - k]] + shorter[m])
+            small.append([*map(head.__add__, small[m - k]), *shorter[m]])
     packed: list[bytes] = []
 
     def walk(prefix: bytes, m: int, k: int) -> None:
         # prefix followed by every partition of m with parts <= k
         for j in range(min(k, m), _SMALL, -1):
             walk(prefix + bytes((j,)), m - j, j)
-        packed.extend([prefix + t for t in small[m]])
+        packed.extend(map(prefix.__add__, small[m]))
 
     walk(b"", n, n)
     return packed
@@ -183,8 +184,7 @@ def enumerate_partitions(n: int,
         stream = [p for p in stream if all(map(operator.gt, p, p[1:]))
                   and all(_admits(q, constraint) for q in p)]
     partitions = [_new(Partition) for _ in stream]
-    for p, packed in zip(partitions, stream):
-        _set(p, "_packed", packed)
+    any(map(Partition._packed.__set__, partitions, stream))  # None each time: runs to the end
     return partitions
 
 
@@ -193,11 +193,17 @@ def enumerate_partitions(n: int,
 _TABLES: dict[PartitionConstraint, list[int]] = {}
 
 
-def _count_table(size: int, constraint: PartitionConstraint) -> list[int]:
+def _counts(n: int, constraint: PartitionConstraint) -> list[int]:
+    """The constraint's shared count table, rebuilt to cover n (see
+    `count_partitions`); every read of `_TABLES` goes through here."""
+    table = _TABLES.get(constraint, [1])
+    if n < len(table):
+        return table
     # Classic "parts bounded by k" table, one pass per admissible part.
     # Unrestricted parts may repeat; distinct variants use each part at
     # most once (0/1 knapsack, descending inner loop).
-    table = [1] + [0] * size
+    size = max(n, 2 * (len(table) - 1))
+    table = _TABLES[constraint] = [1] + [0] * size
     repeatable = constraint is PartitionConstraint.UNRESTRICTED
     for part in range(1, size + 1):
         if not _admits(part, constraint):
@@ -220,10 +226,7 @@ def count_partitions(n: int,
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative total: {n}")
-    table = _TABLES.get(constraint, [1])
-    if n >= len(table):
-        table = _TABLES[constraint] = _count_table(max(n, 2 * (len(table) - 1)), constraint)
-    return table[n]
+    return _counts(n, constraint)[n]
 
 
 def conjugate_partition(p: Partition) -> Partition:

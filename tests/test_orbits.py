@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitkit import orbits
+from orbitkit import orbits, partitions
 from orbitkit.orbits import (
     CapacityError,
     centralizer_dimension_oracle,
@@ -16,6 +16,7 @@ from orbitkit.orbits import (
 from orbitkit.partitions import (
     Partition,
     conjugate_partition,
+    count_partitions,
     enumerate_partitions,
     is_orthogonal_partition,
     is_symplectic_partition,
@@ -56,6 +57,21 @@ class TestCounts:
         assert count("D4") == 10
         assert count("A6") == 15
 
+    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    def test_pair_count_reads_tables_not_count_calls(self, monkeypatch, family):
+        # the pair-of-partitions formula reads both count tables at once;
+        # it used to call count_partitions once per |lambda|, about rank times
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return count_partitions(*args)
+
+        monkeypatch.setattr(orbits, "count_partitions", counted)
+        monkeypatch.setattr(partitions, "count_partitions", counted)
+        nilpotent_orbit_count(LieType(family, 300))
+        assert len(calls) <= 2, calls
+
     def test_method_and_notes(self):
         oc = nilpotent_orbit_count(T("D5"))
         assert oc.method == "partition-formula"
@@ -78,7 +94,7 @@ class TestCounts:
         # the oracle counts the Jordan types each classical algebra allows
         # by generating functions, not by the pair-of-partitions formula
         oracle = PartitionCounts()
-        for rank in range(min_rank, 101):
+        for rank in range(min_rank, 301):  # the orbit-queries workload's COUNT_RANK_MAX
             t = LieType(family, rank)
             assert nilpotent_orbit_count(t).count == oracle.orbit_count(family, rank), t
 
@@ -128,6 +144,31 @@ def fraction_rank(matrix):
     return rank
 
 
+def whole_commutator_system(p):
+    """The k^2 x k^2 system [N, Y] = 0 for the k x k nilpotent Jordan
+    matrix N of type p, built in one piece: the reference the oracle's
+    block-pair solves are checked against."""
+    k = p.total
+    n = [[0] * k for _ in range(k)]
+    offset = 0
+    for size in p:
+        for r in range(offset, offset + size - 1):
+            n[r][r + 1] = 1
+        offset += size
+    rows = []
+    for i in range(k):
+        for j in range(k):
+            # coefficient of Y[t][s] in (NY - YN)[i][j]
+            row = [0] * (k * k)
+            for t in range(k):
+                if n[i][t]:
+                    row[t * k + j] += n[i][t]
+                if n[t][j]:
+                    row[i * k + t] -= n[t][j]
+            rows.append(row)
+    return rows
+
+
 class TestRankExact:
     @pytest.mark.parametrize("matrix,rank", [
         ([[2, 4], [1, 2]], 1),
@@ -170,8 +211,8 @@ class TestDimensions:
         assert centralizer_dimension_oracle(Partition((1, 1))) == 4
         assert centralizer_dimension_oracle(Partition((4,))) == 4
 
-    def test_oracle_matches_conjugate_formula_to_6(self):
-        for k in range(1, 7):
+    def test_oracle_matches_conjugate_formula_to_cap(self):
+        for k in range(1, orbits.ORACLE_SIZE_CAP + 1):
             for p in enumerate_partitions(k):
                 expected = sum(q * q for q in conjugate_partition(p))
                 assert centralizer_dimension_oracle(p) == expected, p
@@ -187,8 +228,30 @@ class TestDimensions:
         with pytest.raises(TypeError):
             orbit_dimension_typeA(Partition((2.9, 1.9)))
 
+    def test_oracle_equals_whole_commutator_system_to_cap(self):
+        for k in range(1, orbits.ORACLE_SIZE_CAP + 1):
+            for p in enumerate_partitions(k):
+                rows = whole_commutator_system(p)
+                assert centralizer_dimension_oracle(p) == k * k - fraction_rank(rows), p
+
+    def test_oracle_solves_one_system_per_pair_of_block_sizes(self, monkeypatch):
+        shapes = []
+        rank_exact = orbits._rank_exact
+
+        def counted(rows):
+            shapes.append((len(rows), len(rows[0])))
+            return rank_exact(rows)
+
+        monkeypatch.setattr(orbits, "_rank_exact", counted)
+        for k in range(1, orbits.ORACLE_SIZE_CAP + 1):
+            for p in enumerate_partitions(k):
+                shapes.clear()
+                centralizer_dimension_oracle(p)
+                assert len(shapes) == len(set(p)) ** 2, p
+                assert max(shapes) == (p[0] ** 2, p[0] ** 2), p
+
     def test_oracle_on_empty_partition(self):
-        # the 0 x 0 commutator system: no rows, rank 0, kernel dimension 0
+        # no Jordan blocks: no systems, kernel dimension 0
         assert centralizer_dimension_oracle(Partition()) == 0
 
     def test_zero_count_refused(self):
