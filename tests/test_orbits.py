@@ -59,8 +59,8 @@ class TestCounts:
 
     @pytest.mark.parametrize("family", ["B", "C", "D"])
     def test_pair_count_reads_tables_not_count_calls(self, monkeypatch, family):
-        # the pair-of-partitions formula reads both count tables at once;
-        # it used to call count_partitions once per |lambda|, about rank times
+        # the pair-of-partitions formula reads both count tables whole,
+        # not one count_partitions call per |lambda| (about rank calls)
         calls = []
 
         def counted(*args):
