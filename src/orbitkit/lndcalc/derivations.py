@@ -3,6 +3,7 @@ degrees, kernel membership, and the kernel-product witness search that
 certifies semi-compatibility of two locally nilpotent derivations.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -181,40 +182,80 @@ def _label(p: MultiPoly) -> str:
     return f"({text})" if len(p.terms) > 1 else text
 
 
+def _integral(p: MultiPoly) -> tuple[int, MultiPoly]:
+    """(s, s*p) for the least positive integer s that makes every
+    coefficient of s*p an int."""
+    coefs = p.terms.values()
+    if all(type(c) is int for c in coefs):
+        return 1, p
+    s = math.lcm(*(c.denominator for c in coefs))
+    return s, MultiPoly._of(p.gens, {m: c.numerator * (s // c.denominator)
+                                     for m, c in p.terms.items()})
+
+
+def _product(ring: QuotientRing, left: tuple, right: tuple) -> tuple[int, MultiPoly]:
+    """The reduced product of (scale, integral polynomial) pairs, each
+    standing for polynomial / scale, as such a pair."""
+    (s, p), (t, q) = left, right
+    extra, product = _integral(ring.normal_form(p * q))
+    return s * t * extra, product
+
+
 def _level(ring: QuotientRing, levels: list, d: int) -> list:
-    """(last factor index, label, reduced product) for the products of d
-    kernel elements of one side (levels[0]) with repetition, in
-    combinations_with_replacement order; built from level d - 1 on first use."""
+    """(last factor index, label, (scale, integral product)) for the
+    products of d kernel elements of one side (levels[0]) with repetition,
+    in combinations_with_replacement order; built from level d - 1 on
+    first use."""
     base = levels[0]
     while len(levels) < d:
-        levels.append([(i, f"{label}*{base[i][1]}", ring.normal_form(p * base[i][2]))
+        levels.append([(i, f"{label}*{base[i][1]}", _product(ring, p, base[i][2]))
                        for last, label, p in levels[-1] for i in range(last, len(base))])
     return levels[d - 1]
 
 
+def _rational(scaled: tuple[int, MultiPoly]) -> MultiPoly:
+    """The Fraction-coefficient polynomial a (scale, polynomial) pair stands for."""
+    s, p = scaled
+    return MultiPoly._of(p.gens, {m: Fraction(c, s) for m, c in p.terms.items()})
+
+
 class _Span:
-    """Incremental exact row echelon form: each row is keyed by its
-    largest monomial and carries the combination of inserted vectors it equals."""
+    """Incremental fraction-free row echelon form over the integers: each
+    row is keyed by its largest monomial and carries the integer
+    combination of inserted vectors it equals.  A row's entry at a pivot
+    is cancelled as row <- a*row - b*pivot_row with a, b coprime integers,
+    so nothing is divided until a combination is returned."""
 
     def __init__(self):
-        self.rows: dict[Monomial, tuple[dict[Monomial, Fraction], dict[int, Fraction]]] = {}
+        self.rows: dict[Monomial, tuple[dict[Monomial, int], dict[int, int]]] = {}
+        self.scales: list[int] = []
 
-    def insert(self, index: int, p: MultiPoly) -> dict[int, Fraction] | None:
-        """Add p as vector `index`; return the combination equal to 1 once 1
-        is in the span.  The constant monomial is the smallest, so that is
-        exactly when a row is keyed by it."""
-        vec, combo = dict(p.terms), {index: Fraction(1)}
+    def insert(self, scaled: tuple[int, MultiPoly]) -> dict[int, Fraction] | None:
+        """Add the vector p / s for scaled = (s, p), p with int
+        coefficients; return the combination of inserted vectors equal to
+        1 once 1 is in the span.  The constant monomial is the smallest,
+        so that is exactly when a row is keyed by it."""
+        scale, p = scaled
+        vec, combo = dict(p.terms), {len(self.scales): 1}
+        self.scales.append(scale)
         while vec:
             pivot = max(vec)
             if pivot not in self.rows:
                 self.rows[pivot] = (vec, combo)
-                return None if any(pivot) else {i: c / vec[pivot] for i, c in combo.items()}
+                if any(pivot):
+                    return None
+                lead = vec[pivot]
+                return {i: Fraction(c * self.scales[i], lead) for i, c in combo.items()}
             rvec, rcombo = self.rows[pivot]
-            factor = vec[pivot] / rvec[pivot]
+            g = math.gcd(rvec[pivot], vec[pivot])
+            a, b = rvec[pivot] // g, vec[pivot] // g
+            if a != 1:
+                vec = {m: a * c for m, c in vec.items()}
+                combo = {i: a * c for i, c in combo.items()}
             for m, c in rvec.items():
-                _add_term(vec, m, -factor * c)
+                _add_term(vec, m, -b * c)
             for i, c in rcombo.items():
-                _add_term(combo, i, -factor * c)
+                _add_term(combo, i, -b * c)
         return None
 
 
@@ -234,26 +275,39 @@ def verify_semicompatibility_witness(ring: QuotientRing,
     the walk first reaches them, so the cost follows the degree of the
     answer, not the bound.  On success the report carries the explicit
     combination and the total where the walk stopped.
-    """
-    k1 = [ring.normal_form(f) for f in kernel1]
-    k2 = [ring.normal_form(f) for f in kernel2]
-    for side, d, elements in (("first", d1, k1), ("second", d2, k2)):
-        for f in elements:
-            if not is_in_kernel(ring, d, f):
-                raise KernelMembershipError(
-                    f"{poly_to_text(f)} is not in the kernel of the {side} derivation")
 
-    left = [[(i, _label(f), f) for i, f in enumerate(k1)]]
-    right = [[(i, _label(f), f) for i, f in enumerate(k2)]]
+    The walk runs on integer coefficients: each kernel element is scaled
+    by the lcm of its denominators, and only the report's coefficients
+    and factors are Fractions.
+    """
+    derivations = (d1, d2)
+    return _witness_search(ring, kernel1, kernel2, degree,
+                           lambda side, f: is_in_kernel(ring, derivations[side], f))
+
+
+def _witness_search(ring: QuotientRing, kernel1: Iterable[MultiPoly],
+                    kernel2: Iterable[MultiPoly], degree: int, in_kernel) -> WitnessReport:
+    """verify_semicompatibility_witness, with the membership of each
+    reduced kernel element f of side 0 or 1 read from in_kernel(side, f)."""
+    kernels = [[ring.normal_form(f) for f in k] for k in (kernel1, kernel2)]
+    for side, elements in enumerate(kernels):
+        for f in elements:
+            if not in_kernel(side, f):
+                raise KernelMembershipError(f"{poly_to_text(f)} is not in the kernel of the"
+                                            f" {('first', 'second')[side]} derivation")
+
+    left, right = ([[(i, _label(f), _integral(f)) for i, f in enumerate(k)]] for k in kernels)
     span = _Span()
-    visited = []  # (left_label, right_label, left, right, degree): WitnessTerm's fields
+    visited = []  # (left_label, right_label, left, right, degree), sides as (scale, product)
     for total in range(2, 2 * degree + 1):
         for dl in range(max(1, total - degree), min(degree, total - 1) + 1):
             for _, llabel, pleft in _level(ring, left, dl):
                 for _, rlabel, pright in _level(ring, right, total - dl):
                     visited.append((llabel, rlabel, pleft, pright, total))
-                    combo = span.insert(len(visited) - 1, ring.normal_form(pleft * pright))
+                    combo = span.insert(_product(ring, pleft, pright))
                     if combo is not None:
-                        terms = tuple(WitnessTerm(combo[i], *visited[i]) for i in sorted(combo))
+                        terms = tuple(
+                            WitnessTerm(combo[i], ll, rl, _rational(lp), _rational(rp), t)
+                            for i, (ll, rl, lp, rp, t) in enumerate(visited) if i in combo)
                         return WitnessReport(degree, terms, found_degree=total)
     return WitnessReport(degree)

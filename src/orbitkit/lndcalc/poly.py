@@ -21,6 +21,11 @@ only: exponents add (a rewrite subtracts the lead only from monomials
 it divides), Fraction arithmetic gives Fractions, and `_add_term` drops
 every sum that cancels.
 
+Integer coefficients exist only inside the kernel-product witness
+search (`derivations.verify_semicompatibility_witness`): it multiplies
+and reduces integer multiples of its polynomials, and its report holds
+Fraction-coefficient polynomials again.
+
 Polynomial text (`parse_poly`, and `poly_to_text`'s output) is terms
 joined by `+`/`-`, each term factors joined by `*`, each factor a
 coefficient `n` or `n/d` or a generator `gen` or `gen^k`.
@@ -64,7 +69,8 @@ class MultiPoly:
     def _of(cls, gens: tuple[str, ...], terms: dict[Monomial, Fraction]) -> "MultiPoly":
         """Unchecked constructor.  `terms` must be a dict the caller has
         just built, never another polynomial's `terms`, with nonnegative
-        exponent vectors of length len(gens) and nonzero Fraction values."""
+        exponent vectors of length len(gens) and nonzero Fraction values;
+        the witness search alone builds polynomials with int values."""
         self = object.__new__(cls)
         self.gens = gens
         self.terms = terms

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -321,6 +322,43 @@ class TestKernels:
                 assert delta_degree(ring, d2, f) <= 1
 
 
+# Kernel sets whose witness reports are pinned by WITNESS_DIGEST: found
+# and not-found searches at caps 2 to 5, with integer and rational kernel
+# elements, on C[SL2] and (under the zero derivation) on rings whose
+# relation is not monic or not integral
+WITNESS_CASES_SL2 = [
+    (["a1", "a2"], ["b1", "b2"], 2),
+    (["2*a1 + a2", "a1 - 3*a2"], ["b1 - b2", "2*b2"], 3),
+    (["1/2*a1", "a2"], ["b1", "2/3*b2"], 4),
+    (["a1", "1/2*a2"], ["b1^2", "2/5*b2"], 5),
+    (["a1^2", "a2"], ["b1", "b2^2 - b1"], 4),
+    (["a1"], ["b1", "b2"], 5),
+    (["2/3*a1 - a2"], ["1/2*b1", "b1 + b2"], 4),
+    (["a1^2 + 1/2*a2^2"], ["b1", "3*b2"], 3),
+    (["a1", "a2"], ["b1^2"], 2),
+]
+WITNESS_CASES_OTHER = [
+    (("x", "y"), "2*x*y - 1", ["x"], ["y"], 2),
+    (("x", "y"), "2*x*y - 1", ["x^2", "3*x"], ["1/2*y"], 3),
+    (("x", "y"), "2*x*y - 1", ["x^2"], ["y"], 3),
+    (("x", "y", "z"), "3*x*z^2 - 2*y + 1", ["x", "y"], ["z^2", "1/2*y"], 3),
+    (("x", "y", "z"), "2/3*x^2*y - 1/2*z - 1", ["x", "z"], ["1/2*y", "x"], 3),
+    (("x", "y", "z"), "3*y^2*z - x", ["x + 1/2*y"], ["z"], 3),
+]
+# written by the search when its span still eliminated over Fraction
+WITNESS_DIGEST = "dbadbe8730bf8c172a5edb13892295ffd0f8ec3b7407245804aef61e20ef35bd"
+
+
+def report_text(report):
+    """Every field of a witness report, with the coefficient types."""
+    lines = [f"{report.degree_cap} {report.found_degree} {report.equation()}"]
+    for t in report.combination:
+        lines.append(" ".join([repr(t.coefficient), t.left_label, t.right_label, str(t.degree),
+                               repr(sorted(t.left.terms.items())),
+                               repr(sorted(t.right.terms.items()))]))
+    return "\n".join(lines)
+
+
 class TestWitnessSearch:
     def test_sl2_witness(self, ring, derivations):
         d1, d2 = derivations
@@ -338,7 +376,10 @@ class TestWitnessSearch:
          "1 = -1/3*(2*a1 + a2)*b1 + 1/9*(2*a1 + a2)*3*b2"
          " + 2/3*(a1 - a2)*b1 + 1/9*(a1 - a2)*3*b2", 2),
         (["a1", "a2"], ["b1^2", "b2"], "1 = 2*a1*b2 + a2*a2*b1^2 - a1*a1*b2*b2", 4),
-    ], ids=["scaled", "reordered", "mixed", "degree-4"])
+        (["1/2*a1", "a2"], ["b1", "2/3*b2"], "1 = 3*1/2*a1*2/3*b2 - a2*b1", 2),
+        (["a1", "1/2*a2"], ["b1^2", "2/5*b2"],
+         "1 = 5*a1*2/5*b2 + 4*1/2*a2*1/2*a2*b1^2 - 25/4*a1*a1*2/5*b2*2/5*b2", 4),
+    ], ids=["scaled", "reordered", "mixed", "degree-4", "rational", "rational-degree-4"])
     def test_equation_with_non_unit_coefficients(self, ring, derivations,
                                                  kernel1, kernel2, equation, found_degree):
         d1, d2 = derivations
@@ -347,6 +388,19 @@ class TestWitnessSearch:
             [ring.element(t) for t in kernel2])
         assert report.equation() == equation
         assert report.found_degree == found_degree
+
+    def test_report_digest(self, ring, derivations):
+        reports = [verify_semicompatibility_witness(
+            ring, *derivations, [ring.element(t) for t in k1], [ring.element(t) for t in k2], cap)
+            for k1, k2, cap in WITNESS_CASES_SL2]
+        for gens, relation, k1, k2, cap in WITNESS_CASES_OTHER:
+            other = QuotientRing(gens, parse_poly(relation, gens))
+            zero = make_derivation(other)
+            reports.append(verify_semicompatibility_witness(
+                other, zero, zero, [other.element(t) for t in k1],
+                [other.element(t) for t in k2], cap))
+        text = "\n\n".join(map(report_text, reports))
+        assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_DIGEST
 
     def test_search_builds_products_lazily(self, ring, derivations, monkeypatch):
         # a degree-2 witness at degree bound 8: products with more factors
@@ -512,6 +566,30 @@ def test_sl2_checks_reuse_the_relation_check(monkeypatch):
         sl2_standard_derivations.cache_clear()
     assert len(calls) == 2
     assert records[0][2:] == ({"d1": True, "d2": True}, True)
+
+
+def test_sl2_checks_apply_each_derivation_once_per_degree_step(monkeypatch):
+    # a cold suite: 2 relation checks, 12 steps for the generator degrees
+    # (1 per kernel generator, 2 per other generator) and 4 for a1*b2; the
+    # witness search reads the certified memberships instead of applying
+    # d1 and d2 to the kernel generators again (22 calls before)
+    calls = 0
+    original = lndcalc.derivations.apply_derivation
+
+    def counting(ring, d, f):
+        nonlocal calls
+        calls += 1
+        return original(ring, d, f)
+
+    monkeypatch.setattr(lndcalc.derivations, "apply_derivation", counting)
+    sl2_standard_derivations.cache_clear()
+    try:
+        records = lndcalc.sl2_checks(4)
+    finally:
+        monkeypatch.undo()
+        sl2_standard_derivations.cache_clear()
+    assert calls == 18
+    assert records[3][2:] == ({"equation": "1 = a1*b2 - a2*b1", "found_degree": 2}, True)
 
 
 def test_export_list():

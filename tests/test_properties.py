@@ -1,8 +1,12 @@
 """Property tests: the text round trip of polynomials, normal forms on
-C[SL2] and on random one-relation rings, the partition constructor's
+C[SL2] and on random one-relation rings, the witness search on random
+one-relation rings against a Fraction rank, the partition constructor's
 validation, and conjugation of partitions as an involution."""
 
 import re
+from fractions import Fraction
+from functools import reduce
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +15,15 @@ from hypothesis import strategies as st
 from orbitkit.lndcalc import (
     MultiPoly,
     QuotientRing,
+    make_derivation,
     parse_poly,
     poly_to_text,
     sl2_coordinate_ring,
+    verify_semicompatibility_witness,
 )
 from orbitkit.partitions import Partition, conjugate_partition
+
+import test_lndcalc
 
 GENS = ("a1", "a2", "b1", "b2")
 
@@ -77,6 +85,71 @@ def test_one_relation_normal_form_is_canonical(case):
     assert ring.normal_form(ring.relation).is_zero()
     assert ring.normal_form(nf_f) == nf_f
     assert ring.normal_form(f * g) == ring.normal_form(nf_f * nf_g)
+
+
+def fraction_rank(vectors) -> int:
+    """Rank of polynomials as coefficient vectors: Gauss-Jordan
+    elimination over Fraction on a dense matrix, one column per monomial."""
+    columns = sorted({m for v in vectors for m in v.terms})
+    rows = [[Fraction(v.terms.get(m, 0)) for m in columns] for v in vectors]
+    rank = 0
+    for col in range(len(columns)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        head = rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] / head[col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], head)]
+        rank += 1
+    return rank
+
+
+@SMALL
+@given(one_relation_rings(), st.data())
+def test_witness_search_against_fraction_rank(case, data):
+    # under the zero derivation every element is in the kernel, so any
+    # kernel sets are valid; the search's answer is checked against the
+    # span of all the products it may use, built here with Fraction.
+    # Random sets rarely reach 1, so half the cases take f, f + c1 and
+    # g, g^e + c2, whose products reach c1*c2 at total 1 + e; f and g get
+    # monomials u and v with u*v the relation's lead, so their products
+    # are rewritten by the relation.
+    ring, f, g = case
+    if data.draw(st.booleans()):
+        u = tuple(data.draw(st.integers(0, e)) for e in ring.lead)
+        v = tuple(e - a for e, a in zip(ring.lead, u))
+        f, g = f + MultiPoly(ring.gens, {u: 1}), g + MultiPoly(ring.gens, {v: 1})
+        c1, c2 = (data.draw(coefficients.filter(bool)) for _ in range(2))
+        kernel1, kernel2 = [f, f + c1], [g, g ** data.draw(st.integers(1, 2)) + c2]
+    else:
+        small = st.tuples(*[st.integers(0, 1)] * len(ring.gens))
+        elements = st.dictionaries(small, coefficients.filter(bool), min_size=1,
+                                   max_size=3).map(lambda terms: MultiPoly(ring.gens, terms))
+        kernel1 = [f] + data.draw(st.lists(elements, max_size=1))
+        kernel2 = [g] + data.draw(st.lists(elements, max_size=1))
+    cap = data.draw(st.integers(1, 2))
+    zero = make_derivation(ring)
+    report = verify_semicompatibility_witness(ring, zero, zero, kernel1, kernel2, cap)
+    if report.found:
+        total = ring.zero()
+        for term in report.combination:
+            assert type(term.coefficient) is Fraction
+            test_lndcalc.TestTrustedConstruction.assert_canonical(term.left)
+            test_lndcalc.TestTrustedConstruction.assert_canonical(term.right)
+            total = total + term.coefficient * (term.left * term.right)
+        assert ring.normal_form(total) == ring.one()
+        return
+
+    def products(kernel):
+        return [ring.normal_form(reduce(lambda p, q: p * q, factors))
+                for d in range(1, cap + 1)
+                for factors in combinations_with_replacement(kernel, d)]
+
+    span = [ring.normal_form(p * q) for p in products(kernel1) for q in products(kernel2)]
+    assert fraction_rank(span + [ring.one()]) == fraction_rank(span) + 1
 
 
 @settings(max_examples=200, deadline=None)
