@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .poly import Monomial, MultiPoly, _add_term, _signed_sum, poly_to_text
+from .poly import Monomial, MultiPoly, _add_term, _ints, _signed_sum, poly_to_text
 from .quotient import QuotientRing
 
 __all__ = [
@@ -64,16 +64,12 @@ class Derivation:
                 raise ValueError(f"image of {name!r} is over different generators")
 
 
-def make_derivation(ring: QuotientRing,
-                    images: Mapping[str, MultiPoly | str | int] | None = None,
-                    **named_images) -> Derivation:
-    """Build a derivation from (possibly partial) generator images;
+def make_derivation(ring: QuotientRing, /,
+                    **images: MultiPoly | str | int | Fraction) -> Derivation:
+    """Build a derivation from generator images given by name;
     unnamed generators map to zero.  String images are parsed."""
-    given: dict[str, MultiPoly | str | int] = dict(images or {})
-    given.update(named_images)
     table = {}
-    for g in ring.gens:
-        value = given.pop(g, 0)
+    for g, value in (dict.fromkeys(ring.gens, 0) | images).items():
         if isinstance(value, str):
             value = ring.parse(value)
         elif isinstance(value, (int, Fraction)):
@@ -82,8 +78,6 @@ def make_derivation(ring: QuotientRing,
             raise TypeError(f"image {value!r} of {g!r} is not a MultiPoly, str, int"
                             " or Fraction")
         table[g] = ring.normal_form(value)
-    if given:
-        raise ValueError(f"images for unknown generators {sorted(given)}")
     return Derivation(ring.gens, table)
 
 
@@ -178,65 +172,49 @@ class WitnessReport:
 
 
 def _label(p: MultiPoly) -> str:
+    """p's text, in parentheses when it is a sum or starts with a sign,
+    so that it reads as one factor of a product."""
     text = poly_to_text(p)
-    return f"({text})" if len(p.terms) > 1 else text
-
-
-def _integral(p: MultiPoly) -> tuple[int, MultiPoly]:
-    """(s, s*p) for the least positive integer s that makes every
-    coefficient of s*p an int."""
-    coefs = p.terms.values()
-    if all(type(c) is int for c in coefs):
-        return 1, p
-    s = math.lcm(*(c.denominator for c in coefs))
-    return s, MultiPoly._of(p.gens, {m: c.numerator * (s // c.denominator)
-                                     for m, c in p.terms.items()})
-
-
-def _product(ring: QuotientRing, left: tuple, right: tuple) -> tuple[int, MultiPoly]:
-    """The reduced product of (scale, integral polynomial) pairs, each
-    standing for polynomial / scale, as such a pair."""
-    (s, p), (t, q) = left, right
-    extra, product = _integral(ring.normal_form(p * q))
-    return s * t * extra, product
+    return f"({text})" if len(p.terms) > 1 or text.startswith("-") else text
 
 
 def _level(ring: QuotientRing, levels: list, d: int) -> list:
-    """(last factor index, label, (scale, integral product)) for the
-    products of d kernel elements of one side (levels[0]) with repetition,
-    in combinations_with_replacement order; built from level d - 1 on
-    first use."""
+    """(last factor index, label, reduced product) for the products of d
+    kernel elements of one side (levels[0]) with repetition, in
+    combinations_with_replacement order; built from level d - 1 on first
+    use."""
     base = levels[0]
     while len(levels) < d:
-        levels.append([(i, f"{label}*{base[i][1]}", _product(ring, p, base[i][2]))
+        levels.append([(i, f"{label}*{base[i][1]}", ring.normal_form(p * base[i][2]))
                        for last, label, p in levels[-1] for i in range(last, len(base))])
     return levels[d - 1]
 
 
-def _rational(scaled: tuple[int, MultiPoly]) -> MultiPoly:
-    """The Fraction-coefficient polynomial a (scale, polynomial) pair stands for."""
-    s, p = scaled
-    return MultiPoly._of(p.gens, {m: Fraction(c, s) for m, c in p.terms.items()})
-
-
 class _Span:
     """Incremental fraction-free row echelon form over the integers: each
-    row is keyed by its largest monomial and carries the integer
-    combination of inserted vectors it equals.  A row's entry at a pivot
-    is cancelled as row <- a*row - b*pivot_row with a, b coprime integers,
-    so nothing is divided until a combination is returned."""
+    inserted vector enters as an integer row, its denominators cleared
+    here and nowhere else, keyed by its largest monomial and carrying the
+    integer combination of inserted vectors it equals.  A row's entry at
+    a pivot is cancelled as row <- a*row - b*pivot_row with a, b coprime
+    integers, so nothing is divided until a combination is returned."""
 
     def __init__(self):
         self.rows: dict[Monomial, tuple[dict[Monomial, int], dict[int, int]]] = {}
         self.scales: list[int] = []
 
-    def insert(self, scaled: tuple[int, MultiPoly]) -> dict[int, Fraction] | None:
-        """Add the vector p / s for scaled = (s, p), p with int
-        coefficients; return the combination of inserted vectors equal to
-        1 once 1 is in the span.  The constant monomial is the smallest,
-        so that is exactly when a row is keyed by it."""
-        scale, p = scaled
-        vec, combo = dict(p.terms), {len(self.scales): 1}
+    def insert(self, vector: MultiPoly) -> dict[int, Fraction] | None:
+        """Add vector, as the integer row scale*vector for the least
+        positive integer scale that clears its denominators; return the
+        combination of inserted vectors equal to 1 once 1 is in the span.
+        The constant monomial is the smallest, so that is exactly when a
+        row is keyed by it."""
+        coefs = vector.terms.values()
+        if all(type(c) is int for c in coefs):
+            scale, vec = 1, dict(vector.terms)
+        else:
+            scale = math.lcm(*(c.denominator for c in coefs))
+            vec = {m: c.numerator * (scale // c.denominator) for m, c in vector.terms.items()}
+        combo = {len(self.scales): 1}
         self.scales.append(scale)
         while vec:
             pivot = max(vec)
@@ -276,9 +254,10 @@ def verify_semicompatibility_witness(ring: QuotientRing,
     answer, not the bound.  On success the report carries the explicit
     combination and the total where the walk stopped.
 
-    The walk runs on integer coefficients: each kernel element is scaled
-    by the lcm of its denominators, and only the report's coefficients
-    and factors are Fractions.
+    Integral kernel elements are multiplied and reduced with int
+    coefficients, and the span clears each product's denominators, so
+    `Fraction` arithmetic runs only for rational kernel elements and for
+    the report's coefficients and factors.
     """
     derivations = (d1, d2)
     return _witness_search(ring, kernel1, kernel2, degree,
@@ -289,25 +268,27 @@ def _witness_search(ring: QuotientRing, kernel1: Iterable[MultiPoly],
                     kernel2: Iterable[MultiPoly], degree: int, in_kernel) -> WitnessReport:
     """verify_semicompatibility_witness, with the membership of each
     reduced kernel element f of side 0 or 1 read from in_kernel(side, f)."""
-    kernels = [[ring.normal_form(f) for f in k] for k in (kernel1, kernel2)]
+    kernels = [[MultiPoly._of(ring.gens, _ints(ring.normal_form(f).terms)) for f in k]
+               for k in (kernel1, kernel2)]
     for side, elements in enumerate(kernels):
         for f in elements:
             if not in_kernel(side, f):
                 raise KernelMembershipError(f"{poly_to_text(f)} is not in the kernel of the"
                                             f" {('first', 'second')[side]} derivation")
 
-    left, right = ([[(i, _label(f), _integral(f)) for i, f in enumerate(k)]] for k in kernels)
+    left, right = ([[(i, _label(f), f) for i, f in enumerate(k)]] for k in kernels)
     span = _Span()
-    visited = []  # (left_label, right_label, left, right, degree), sides as (scale, product)
+    visited = []  # (left_label, right_label, left, right, degree)
     for total in range(2, 2 * degree + 1):
         for dl in range(max(1, total - degree), min(degree, total - 1) + 1):
             for _, llabel, pleft in _level(ring, left, dl):
                 for _, rlabel, pright in _level(ring, right, total - dl):
                     visited.append((llabel, rlabel, pleft, pright, total))
-                    combo = span.insert(_product(ring, pleft, pright))
+                    combo = span.insert(ring.normal_form(pleft * pright))
                     if combo is not None:
                         terms = tuple(
-                            WitnessTerm(combo[i], ll, rl, _rational(lp), _rational(rp), t)
+                            WitnessTerm(combo[i], ll, rl, MultiPoly(lp.gens, lp.terms),
+                                        MultiPoly(rp.gens, rp.terms), t)
                             for i, (ll, rl, lp, rp, t) in enumerate(visited) if i in combo)
                         return WitnessReport(degree, terms, found_degree=total)
     return WitnessReport(degree)

@@ -22,8 +22,9 @@ it divides), Fraction arithmetic gives Fractions, and `_add_term` drops
 every sum that cancels.
 
 Integer coefficients exist only inside the kernel-product witness
-search (`derivations.verify_semicompatibility_witness`): it multiplies
-and reduces integer multiples of its polynomials, and its report holds
+search (`derivations.verify_semicompatibility_witness`): `_ints` stores
+its kernel elements' integral coefficients as ints, so integral
+elements multiply and reduce with int arithmetic, and its report holds
 Fraction-coefficient polynomials again.
 
 Polynomial text (`parse_poly`, and `poly_to_text`'s output) is terms
@@ -70,7 +71,8 @@ class MultiPoly:
         """Unchecked constructor.  `terms` must be a dict the caller has
         just built, never another polynomial's `terms`, with nonnegative
         exponent vectors of length len(gens) and nonzero Fraction values;
-        the witness search alone builds polynomials with int values."""
+        the witness search alone builds polynomials whose integral values
+        are ints (see `_ints`)."""
         self = object.__new__(cls)
         self.gens = gens
         self.terms = terms
@@ -187,6 +189,11 @@ class MultiPoly:
 
     def __str__(self):
         return poly_to_text(self)
+
+
+def _ints(terms: Mapping[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+    """A copy of terms with every integral coefficient stored as an int."""
+    return {m: c.numerator if c.denominator == 1 else c for m, c in terms.items()}
 
 
 def _add_term(terms: dict, key, coef) -> None:

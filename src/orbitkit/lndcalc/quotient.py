@@ -2,10 +2,10 @@
 
 The relation's lead is its lexicographically largest monomial, and
 reduction rewrites the lead as lead - relation / (lead coefficient),
-whose every monomial lies below the lead.  Each coefficient of that
-rewrite is stored as an int when it is integral, so with a monic
-integer relation (such as the SL2 determinant) integer polynomials
-reduce to integer polynomials; rational inputs still give Fractions.
+whose every monomial lies below the lead.  The coefficients of that
+rewrite go through `poly._ints`, so with a monic integer relation (such
+as the SL2 determinant) int-coefficient polynomials reduce to
+int-coefficient polynomials; Fraction inputs still give Fractions.
 
 Termination: `normal_form` always rewrites the largest monomial left,
 and a rewrite adds only monomials below it, so the monomials it takes
@@ -21,7 +21,7 @@ ring exactly when their normal forms are equal.
 from fractions import Fraction
 from typing import Iterable
 
-from .poly import Monomial, MultiPoly, _add_term, parse_poly
+from .poly import Monomial, MultiPoly, _add_term, _ints, parse_poly
 
 __all__ = ["QuotientRing", "RelationError"]
 
@@ -48,9 +48,8 @@ class QuotientRing:
         if not any(self.lead):
             raise RelationError(f"relation {relation} is zero or constant")
         scale = -1 / relation.terms[self.lead]
-        replacement = [(m, c * scale) for m, c in relation.terms.items() if m != self.lead]
-        self._replacement = [(m, c.numerator if c.denominator == 1 else c)
-                             for m, c in replacement]
+        self._replacement = list(_ints({m: c * scale for m, c in relation.terms.items()
+                                        if m != self.lead}).items())
 
     # -- element constructors ------------------------------------------
 

@@ -212,6 +212,12 @@ class TestDerivations:
         with pytest.raises(ValueError, match="image of 'y' is over different generators"):
             Derivation(gens, {"x": y, "y": MultiPoly.generator(("y",), "y")})
 
+    @pytest.mark.parametrize("name", ["images", "ring"])
+    def test_generator_may_share_a_parameter_name(self, name):
+        free = QuotientRing((name, "y"))
+        d = make_derivation(free, **{name: "y"})
+        assert {g: str(image) for g, image in d.images.items()} == {name: "y", "y": "0"}
+
     def test_derivation_of_another_ring_rejected(self, ring):
         free = QuotientRing(("x", "y"))
         d = make_derivation(free, x="y")
@@ -388,6 +394,39 @@ class TestWitnessSearch:
             [ring.element(t) for t in kernel2])
         assert report.equation() == equation
         assert report.found_degree == found_degree
+
+    @pytest.mark.parametrize("kernel1, kernel2, equation", [
+        (["-a1", "a2"], ["b1", "b2"], "1 = -(-a1)*b2 - a2*b1"),
+        (["-2*a1", "a2"], ["b1", "-b2"], "1 = 1/2*(-2*a1)*(-b2) - a2*b1"),
+        (["a1", "-a2"], ["b1", "b2"], "1 = a1*b2 + (-a2)*b1"),
+        (["a1", "-a2"], ["-b1", "b2"], "1 = a1*b2 - (-a2)*(-b1)"),
+        (["a1", "a2"], ["-b1^2", "b2"], "1 = 2*a1*b2 - a2*a2*(-b1^2) - a1*a1*b2*b2"),
+    ], ids=["negated", "scaled", "plus-negated", "both-negated", "degree-4"])
+    def test_negative_kernel_elements_read_as_factors(self, ring, derivations,
+                                                      kernel1, kernel2, equation):
+        report = verify_semicompatibility_witness(
+            ring, *derivations, [ring.element(t) for t in kernel1],
+            [ring.element(t) for t in kernel2])
+        assert report.equation() == equation
+        assert not any(bad in equation for bad in ("--", "+ -", "*-"))
+
+    def test_integral_kernels_multiply_ints(self, ring, derivations, monkeypatch):
+        # kernels built the way perfbench's worker builds them: integer
+        # values held as Fractions; the search multiplies int coefficients
+        k1 = [MultiPoly(ring.gens, {(1, 0, 0, 0): Fraction(2), (0, 1, 0, 0): Fraction(-3)})]
+        k2 = [MultiPoly(ring.gens, {(0, 0, 1, 0): Fraction(1), (0, 0, 0, 1): Fraction(2)}),
+              MultiPoly(ring.gens, {(0, 0, 1, 0): Fraction(-3), (0, 0, 0, 1): Fraction(1)})]
+        types = set()
+        mul = MultiPoly.__mul__
+
+        def spy(self, other):
+            types.update(type(c) for p in (self, other) for c in p.terms.values())
+            return mul(self, other)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", spy)
+        report = verify_semicompatibility_witness(ring, *derivations, k1, k2, 4)
+        assert not report.found
+        assert types == {int}
 
     def test_report_digest(self, ring, derivations):
         reports = [verify_semicompatibility_witness(
