@@ -6,9 +6,11 @@ certifies semi-compatibility of two locally nilpotent derivations.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
-from .poly import Monomial, MultiPoly, _add_term, _ints, _signed_sum, poly_to_text
+from .poly import (Monomial, MultiPoly, Scalar, _add_term, _ints, _numerators, _over,
+                   _signed_sum, poly_to_text)
 from .quotient import QuotientRing
 
 __all__ = [
@@ -82,19 +84,22 @@ def make_derivation(ring: QuotientRing, /,
 
 
 def apply_derivation(ring: QuotientRing, d: Derivation, f: MultiPoly) -> MultiPoly:
-    """Extend the generator images by the Leibniz rule and reduce."""
+    """Extend the generator images by the Leibniz rule and reduce, on f's
+    integer numerators: an int-coefficient f gives ints, a Fraction one Fractions."""
     gens = ring.gens
     for name, over in (("polynomial", f.gens), ("derivation", d.gens)):
         if over != gens:
             raise ValueError(f"{name} over {over}, ring over {gens}")
-    out: dict[Monomial, Fraction] = {}
-    for mono, coef in f.terms.items():
+    numerators, denominator = _numerators(f.terms)
+    images = [_ints(d.images[g].terms).items() for g in gens]
+    out: dict[Monomial, Scalar] = {}
+    for mono, coef in numerators.items():
         for i, e in enumerate(mono):
             if e:
                 lowered = mono[:i] + (e - 1,) + mono[i + 1:]
-                for m, c in d.images[gens[i]].terms.items():
-                    _add_term(out, tuple(a + b for a, b in zip(lowered, m)), coef * e * c)
-    return ring.normal_form(MultiPoly._of(gens, out))
+                for m, c in images[i]:
+                    _add_term(out, tuple(map(add, lowered, m)), coef * e * c)
+    return MultiPoly._of(gens, _over(ring._reduce(out), denominator))
 
 
 def delta_degree(ring: QuotientRing, d: Derivation, f: MultiPoly,
@@ -208,14 +213,9 @@ class _Span:
         combination of inserted vectors equal to 1 once 1 is in the span.
         The constant monomial is the smallest, so that is exactly when a
         row is keyed by it."""
-        coefs = vector.terms.values()
-        if all(type(c) is int for c in coefs):
-            scale, vec = 1, dict(vector.terms)
-        else:
-            scale = math.lcm(*(c.denominator for c in coefs))
-            vec = {m: c.numerator * (scale // c.denominator) for m, c in vector.terms.items()}
+        vec, scale = _numerators(vector.terms)
         combo = {len(self.scales): 1}
-        self.scales.append(scale)
+        self.scales.append(scale or 1)
         while vec:
             pivot = max(vec)
             if pivot not in self.rows:

@@ -17,21 +17,23 @@ terms)`, and through it `zero`, `constant`, `generator` and
 a nonzero Fraction.  Results computed here (`+`, `-`, `*`, `**`,
 `substitute`, `QuotientRing.normal_form`, `apply_derivation`) skip the
 checks through `MultiPoly._of`, because they combine checked terms
-only: exponents add (a rewrite subtracts the lead only from monomials
-it divides), Fraction arithmetic gives Fractions, and `_add_term` drops
-every sum that cancels.
+only: exponents add (a rewrite divides out only a power of the lead
+that divides the monomial), Fraction arithmetic gives Fractions, and
+`_add_term` drops every sum that cancels.
 
-Integer coefficients exist only inside the kernel-product witness
-search (`derivations.verify_semicompatibility_witness`): `_ints` stores
-its kernel elements' integral coefficients as ints, so integral
-elements multiply and reduce with int arithmetic, and its report holds
-Fraction-coefficient polynomials again.
+Int coefficients live inside the package only.  `QuotientRing.normal_form`
+and `apply_derivation` work on integer numerators over a common
+denominator (`_numerators`, undone by `_over`): Fraction inputs give
+Fractions, int-coefficient inputs ints.  The kernel-product witness
+search stores integral kernel coefficients as ints (`_ints`), and its
+report holds Fraction-coefficient polynomials again.
 
 Polynomial text (`parse_poly`, and `poly_to_text`'s output) is terms
 joined by `+`/`-`, each term factors joined by `*`, each factor a
 coefficient `n` or `n/d` or a generator `gen` or `gen^k`.
 """
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -56,7 +58,7 @@ class MultiPoly:
         clean: dict[Monomial, Fraction] = {}
         for mono, coef in (terms or {}).items():
             mono = tuple(mono)
-            if len(mono) != len(gens) or any(not isinstance(e, int) or e < 0 for e in mono):
+            if len(mono) != len(gens) or any(type(e) is not int or e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono} for generators {gens}")
             if not isinstance(coef, (int, Fraction)):
                 raise TypeError(f"coefficient {coef!r} is not an int or a Fraction")
@@ -70,9 +72,9 @@ class MultiPoly:
     def _of(cls, gens: tuple[str, ...], terms: dict[Monomial, Fraction]) -> "MultiPoly":
         """Unchecked constructor.  `terms` must be a dict the caller has
         just built, never another polynomial's `terms`, with nonnegative
-        exponent vectors of length len(gens) and nonzero Fraction values;
-        the witness search alone builds polynomials whose integral values
-        are ints (see `_ints`)."""
+        exponent vectors of length len(gens) and nonzero Fraction values,
+        or nonzero int values where an int-coefficient input computed them
+        (see `_numerators` and `_ints`)."""
         self = object.__new__(cls)
         self.gens = gens
         self.terms = terms
@@ -145,7 +147,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("only nonnegative integer powers")
         result, base = None, self
         while n:
@@ -194,6 +196,20 @@ class MultiPoly:
 def _ints(terms: Mapping[Monomial, Scalar]) -> dict[Monomial, Scalar]:
     """A copy of terms with every integral coefficient stored as an int."""
     return {m: c.numerator if c.denominator == 1 else c for m, c in terms.items()}
+
+
+def _numerators(terms: Mapping[Monomial, Scalar]) -> tuple[dict[Monomial, Scalar], int | None]:
+    """(terms * d, d) for the least common denominator d, as a new map of
+    ints; d is None, and the map a copy, when every coefficient is an int."""
+    if all(type(c) is int for c in terms.values()):
+        return dict(terms), None
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}, d
+
+
+def _over(terms: dict[Monomial, Scalar], d: int | None) -> dict[Monomial, Scalar]:
+    """Undo `_numerators`: terms / d as Fractions, or terms if d is None."""
+    return terms if d is None else {m: Fraction(c, d) for m, c in terms.items()}
 
 
 def _add_term(terms: dict, key, coef) -> None:

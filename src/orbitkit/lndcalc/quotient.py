@@ -1,27 +1,29 @@
 """Polynomial quotient rings C[gens] / (relation) with one relation.
 
 The relation's lead is its lexicographically largest monomial, and
-reduction rewrites the lead as lead - relation / (lead coefficient),
-whose every monomial lies below the lead.  The coefficients of that
-rewrite go through `poly._ints`, so with a monic integer relation (such
-as the SL2 determinant) int-coefficient polynomials reduce to
-int-coefficient polynomials; Fraction inputs still give Fractions.
+reduction rewrites the lead as R = lead - relation / (lead coefficient),
+whose every monomial lies below the lead: a monomial m with lead^k the
+largest power of the lead dividing it becomes (m / lead^k) * R^k in one
+step.  R's coefficients go through `poly._ints`, so with a monic integer
+relation (such as the SL2 determinant) int-coefficient polynomials
+reduce to int-coefficient polynomials; Fraction inputs are reduced on
+their integer numerators and still give Fractions.
 
-Termination: `normal_form` always rewrites the largest monomial left,
-and a rewrite adds only monomials below it, so the monomials it takes
-strictly decrease.  Lex order on exponent vectors is a well-order, so
-this stops.
+Termination: lex order is a monomial order, so every monomial of R^k
+lies below lead^k, and a rewrite replaces a monomial by lex-smaller
+ones.  Lex order is a well-order, so any order of rewrites stops.
 
 Confluence: one polynomial is a Groebner basis of the ideal it
 generates, so the normal form is the unique remainder of division by
-the relation, whatever the order of rewrites: f and g are equal in the
-ring exactly when their normal forms are equal.
+the relation, and reduction is linear, so terms may be merged and taken
+in any order: f and g are equal in the ring exactly when their normal
+forms are equal.
 """
 
-from fractions import Fraction
+from operator import add, floordiv, sub
 from typing import Iterable
 
-from .poly import Monomial, MultiPoly, _add_term, _ints, parse_poly
+from .poly import Monomial, MultiPoly, _add_term, _ints, _numerators, _over, parse_poly
 
 __all__ = ["QuotientRing", "RelationError"]
 
@@ -48,8 +50,12 @@ class QuotientRing:
         if not any(self.lead):
             raise RelationError(f"relation {relation} is zero or constant")
         scale = -1 / relation.terms[self.lead]
-        self._replacement = list(_ints({m: c * scale for m, c in relation.terms.items()
-                                        if m != self.lead}).items())
+        replacement = _ints({m: c * scale for m, c in relation.terms.items() if m != self.lead})
+        self._support = [i for i, e in enumerate(self.lead) if e]
+        self._exponents = [self.lead[i] for i in self._support]
+        # R^0, R^1, ..., each monomial of R^k shifted by -k*lead; grown by _reduce
+        self._powers = [[((0,) * len(self.gens), 1)],
+                        [(tuple(map(sub, m, self.lead)), c) for m, c in replacement.items()]]
 
     # -- element constructors ------------------------------------------
 
@@ -80,21 +86,31 @@ class QuotientRing:
         lead.  Idempotent; f minus the result lies in the relation ideal."""
         if f.gens != self.gens:
             raise ValueError(f"polynomial over {f.gens}, ring over {self.gens}")
-        lead = self.lead
-        work = dict(f.terms)
-        done: dict[Monomial, Fraction] = {}
-        while work:
-            mono = max(work)
-            coef = work.pop(mono)
-            if lead is None or any(a < b for a, b in zip(mono, lead)):
-                # rewrites land below the rewritten monomial, so monomials
-                # leave `work` in decreasing order and reach `done` once
-                done[mono] = coef
+        numerators, denominator = _numerators(f.terms)
+        return MultiPoly._of(self.gens, _over(self._reduce(numerators), denominator))
+
+    def _reduce(self, terms: dict) -> dict:
+        """The normal form of a term map of any coefficient type that the
+        caller gives up: it is emptied, or returned if there is no relation."""
+        if self.lead is None:
+            return terms
+        support, exponents, powers = self._support, self._exponents, self._powers
+        done: dict = {}
+        while terms:
+            mono, coef = terms.popitem()
+            k = min(map(floordiv, map(mono.__getitem__, support), exponents))
+            if not k:
+                _add_term(done, mono, coef)
                 continue
-            shift = tuple(a - b for a, b in zip(mono, lead))
-            for rmono, rcoef in self._replacement:
-                _add_term(work, tuple(a + b for a, b in zip(shift, rmono)), coef * rcoef)
-        return MultiPoly._of(self.gens, done)
+            while len(powers) <= k:
+                product: dict = {}
+                for s1, c1 in powers[-1]:
+                    for s2, c2 in powers[1]:
+                        _add_term(product, tuple(map(add, s1, s2)), c1 * c2)
+                powers.append(list(product.items()))
+            for shift, rcoef in powers[k]:
+                _add_term(terms, tuple(map(add, mono, shift)), coef * rcoef)
+        return done
 
     def __repr__(self):
         return f"QuotientRing(gens={self.gens!r}, relation={self.relation!r})"

@@ -31,6 +31,7 @@ from orbitkit.lndcalc import (
     verify_invariant_hypersurface,
     verify_semicompatibility_witness,
 )
+from perfbench import oracles
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,20 @@ def random_reduced(ring, rng, max_terms=4, max_exp=2, coef=3):
         mono = tuple(rng.randint(0, max_exp) for _ in ring.gens)
         terms[mono] = rng.randint(-coef, coef)
     return ring.normal_form(MultiPoly(ring.gens, terms))
+
+
+def random_raw(ring, rng, rational, max_degree=12, max_terms=8):
+    """An unreduced polynomial with monomials of degree at most max_degree
+    and nonzero int coefficients, or Fraction ones when rational; the int
+    case is built the way the package builds its int-coefficient results."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mono = [0] * len(ring.gens)
+        for _ in range(rng.randint(0, max_degree)):
+            mono[rng.randrange(len(mono))] += 1
+        c = rng.choice((-1, 1)) * rng.randint(1, 9)
+        terms[tuple(mono)] = Fraction(c, rng.randint(1, 6)) if rational else c
+    return MultiPoly(ring.gens, terms) if rational else MultiPoly._of(ring.gens, terms)
 
 
 class TestQuotientRing:
@@ -76,6 +91,15 @@ class TestQuotientRing:
             assert ring.normal_form(nf) == nf
             # the difference lies in the relation ideal: reducing it gives 0
             assert ring.normal_form(p - nf).is_zero()
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["int", "Fraction"])
+    def test_normal_form_matches_closed_form(self, ring, rational):
+        # the oracle reduces with (a1*b2)^m = (a2*b1 + 1)^m and shares no
+        # code with the rewriting
+        rng = random.Random(2500 + rational)
+        for _ in range(60):
+            f = random_raw(ring, rng, rational)
+            assert ring.normal_form(f).terms == oracles.normal_form(f.terms)
 
     def test_normal_form_has_no_rule_head(self, ring):
         rng = random.Random(7)
@@ -165,9 +189,19 @@ class TestDerivations:
         monkeypatch.setattr(MultiPoly, "__init__", counting_init)
         monkeypatch.setattr(MultiPoly, "_of", classmethod(counting_of))
         result = apply_derivation(ring, d1, f)
-        assert len(built) == 2  # the Leibniz sum and its normal form
+        assert len(built) == 1  # the result; the Leibniz sum is a plain term map
         monkeypatch.undo()
         assert str(result) == "2*a1^2*b1 + 2*a2^2*b1 + 3*a2*b2^2 + a2"
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["int", "Fraction"])
+    def test_derivations_match_closed_form(self, ring, derivations, rational):
+        # the oracle differentiates d1 = a1 d/db1 + a2 d/db2 and
+        # d2 = b1 d/da1 + b2 d/da2 by hand, then reduces in closed form
+        rng = random.Random(2510 + rational)
+        for _ in range(60):
+            f = random_raw(ring, rng, rational)
+            for which, d in enumerate(derivations, 1):
+                assert apply_derivation(ring, d, f).terms == oracles.derive(f.terms, which)
 
     def test_leibniz_rule_sampled(self, ring, derivations):
         rng = random.Random(424242)
@@ -427,6 +461,23 @@ class TestWitnessSearch:
         report = verify_semicompatibility_witness(ring, *derivations, k1, k2, 4)
         assert not report.found
         assert types == {int}
+
+    def test_int_inputs_reduce_and_differentiate_to_ints(self, ring, derivations):
+        # the coefficient type that comes in is the type that comes out:
+        # int-coefficient polynomials (built inside the package) stay int,
+        # Fraction ones stay Fraction, integral values included
+        terms = {(2, 0, 1, 2): 3, (1, 1, 0, 1): -2, (0, 0, 0, 0): 5}
+        ints = MultiPoly._of(ring.gens, dict(terms))
+        cases = [(ints, int), (MultiPoly(ring.gens, terms), Fraction),
+                 (MultiPoly(ring.gens, {m: Fraction(2) for m in terms}), Fraction),
+                 (MultiPoly(ring.gens, {m: Fraction(c, 3) for m, c in terms.items()}), Fraction)]
+        for f, kind in cases:
+            results = [ring.normal_form(f)] + [apply_derivation(ring, d, f) for d in derivations]
+            for p in results:
+                assert p.terms and {type(c) for c in p.terms.values()} == {kind}
+        assert ring.normal_form(ints) == ring.normal_form(cases[1][0])
+        assert all(apply_derivation(ring, d, ints) == apply_derivation(ring, d, cases[1][0])
+                   for d in derivations)
 
     def test_report_digest(self, ring, derivations):
         reports = [verify_semicompatibility_witness(

@@ -160,6 +160,15 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="bad exponent vector"):
             MultiPoly(("x",), {(exponent,): 1})
 
+    def test_bool_exponent_refused(self):
+        # True == 1, but a stored exponent is always an int
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            MultiPoly(("x", "y"), {(True, 0): 1})
+        p = MultiPoly(("x", "y"), {(1, 0): 1})
+        for exponent in (True, False, 1.0):
+            with pytest.raises(ValueError, match="only nonnegative integer powers"):
+                p ** exponent
+
     @pytest.mark.parametrize("coef", [0.1, 1.0, "1/4", None], ids=repr)
     def test_inexact_coefficient_refused(self, coef):
         # a float would become a binary fraction: 0.1 -> 3602879701896397/2**55

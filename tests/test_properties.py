@@ -1,7 +1,8 @@
 """Property tests: the text round trip of polynomials, normal forms on
-C[SL2] and on random one-relation rings, the witness search on random
-one-relation rings against a Fraction rank, the partition constructor's
-validation, and conjugation of partitions as an involution."""
+C[SL2] and on random one-relation rings (against a largest-first
+reference rewrite), the witness search on random one-relation rings
+against a Fraction rank, the partition constructor's validation, and
+conjugation of partitions as an involution."""
 
 import re
 from fractions import Fraction
@@ -85,6 +86,38 @@ def test_one_relation_normal_form_is_canonical(case):
     assert ring.normal_form(ring.relation).is_zero()
     assert ring.normal_form(nf_f) == nf_f
     assert ring.normal_form(f * g) == ring.normal_form(nf_f * nf_g)
+
+
+def largest_first_normal_form(ring, f) -> dict:
+    """The reference rewrite: always take the largest monomial left and,
+    when the relation's lead divides it, replace one copy of the lead by
+    lead - relation / (lead coefficient).  Rewrites land below the
+    rewritten monomial, so each irreducible monomial is taken once."""
+    lead, relation = ring.lead, ring.relation.terms
+    replacement = [(m, -c / relation[lead]) for m, c in relation.items() if m != lead]
+    work, done = dict(f.terms), {}
+    while work:
+        mono = max(work)
+        coef = work.pop(mono)
+        if any(a < b for a, b in zip(mono, lead)):
+            done[mono] = coef
+            continue
+        for rmono, rcoef in replacement:
+            key = tuple(a - b + r for a, b, r in zip(mono, lead, rmono))
+            work[key] = work.get(key, 0) + coef * rcoef
+            if not work[key]:
+                del work[key]
+    return done
+
+
+@SMALL
+@given(one_relation_rings())
+def test_one_relation_normal_form_matches_largest_first(case):
+    # products of three elements reach exponent 6, so a monomial can hold
+    # the lead several times over
+    ring, f, g = case
+    for p in (f, f * g, f * g * g):
+        assert ring.normal_form(p).terms == largest_first_normal_form(ring, p)
 
 
 def fraction_rank(vectors) -> int:
