@@ -1,16 +1,18 @@
 """Derivations on quotient rings: Leibniz application, nilpotence
 degrees, kernel membership, and the kernel-product witness search that
 certifies semi-compatibility of two locally nilpotent derivations.
+`apply_derivation` and `delta_degree` share one Leibniz pass, `_derive`,
+on integer numerators; the search eliminates with `echelon.Echelon`.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
-from .poly import (Monomial, MultiPoly, Scalar, _add_term, _ints, _numerators, _over,
-                   _signed_sum, poly_to_text)
+from ..echelon import Echelon, _add_term
+from .poly import (Monomial, MultiPoly, Scalar, _ints, _numerators, _over, _signed_sum,
+                   poly_to_text)
 from .quotient import QuotientRing
 
 __all__ = [
@@ -74,7 +76,7 @@ def make_derivation(ring: QuotientRing, /,
     for g, value in (dict.fromkeys(ring.gens, 0) | images).items():
         if isinstance(value, str):
             value = ring.parse(value)
-        elif isinstance(value, (int, Fraction)):
+        elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             value = ring.constant(value)
         elif not isinstance(value, MultiPoly):
             raise TypeError(f"image {value!r} of {g!r} is not a MultiPoly, str, int"
@@ -86,35 +88,42 @@ def make_derivation(ring: QuotientRing, /,
 def apply_derivation(ring: QuotientRing, d: Derivation, f: MultiPoly) -> MultiPoly:
     """Extend the generator images by the Leibniz rule and reduce, on f's
     integer numerators: an int-coefficient f gives ints, a Fraction one Fractions."""
-    gens = ring.gens
-    for name, over in (("polynomial", f.gens), ("derivation", d.gens)):
-        if over != gens:
-            raise ValueError(f"{name} over {over}, ring over {gens}")
+    if f.gens != ring.gens:
+        raise ValueError(f"polynomial over {f.gens}, ring over {ring.gens}")
     numerators, denominator = _numerators(f.terms)
-    images = [_ints(d.images[g].terms).items() for g in gens]
+    return MultiPoly._of(ring.gens, _over(_derive(ring, d, numerators), denominator))
+
+
+def _derive(ring: QuotientRing, d: Derivation, terms: dict) -> dict:
+    """d(terms), reduced, as a new term map: ints stay ints when d's
+    images are integral and the relation is monic."""
+    if d.gens != ring.gens:
+        raise ValueError(f"derivation over {d.gens}, ring over {ring.gens}")
+    images = [_ints(d.images[g].terms).items() for g in ring.gens]
     out: dict[Monomial, Scalar] = {}
-    for mono, coef in numerators.items():
+    for mono, coef in terms.items():
         for i, e in enumerate(mono):
             if e:
                 lowered = mono[:i] + (e - 1,) + mono[i + 1:]
                 for m, c in images[i]:
                     _add_term(out, tuple(map(add, lowered, m)), coef * e * c)
-    return MultiPoly._of(gens, _over(ring._reduce(out), denominator))
+    return ring._reduce(out)
 
 
 def delta_degree(ring: QuotientRing, d: Derivation, f: MultiPoly,
                  cap: int = DEFAULT_DEGREE_CAP) -> int:
     """Largest n with d^n(f) nonzero in the ring; kernel elements have
     degree 0.  Certifies a degree of at most `cap`: raises
-    NotNilpotentError once d^(cap+1)(f) is still nonzero."""
-    g = ring.normal_form(f)
-    if g.is_zero():
+    NotNilpotentError once d^(cap+1)(f) is still nonzero.  d is linear,
+    so the chain runs on the integer numerators of f's normal form."""
+    terms, _ = _numerators(ring.normal_form(f).terms)
+    if not terms:
         raise ValueError("delta-degree is defined for nonzero elements only")
     steps = 0
-    while not g.is_zero():
+    while terms:
         if steps > cap:
             raise NotNilpotentError(cap)
-        g = apply_derivation(ring, d, g)
+        terms = _derive(ring, d, terms)
         steps += 1
     return steps - 1
 
@@ -195,48 +204,6 @@ def _level(ring: QuotientRing, levels: list, d: int) -> list:
     return levels[d - 1]
 
 
-class _Span:
-    """Incremental fraction-free row echelon form over the integers: each
-    inserted vector enters as an integer row, its denominators cleared
-    here and nowhere else, keyed by its largest monomial and carrying the
-    integer combination of inserted vectors it equals.  A row's entry at
-    a pivot is cancelled as row <- a*row - b*pivot_row with a, b coprime
-    integers, so nothing is divided until a combination is returned."""
-
-    def __init__(self):
-        self.rows: dict[Monomial, tuple[dict[Monomial, int], dict[int, int]]] = {}
-        self.scales: list[int] = []
-
-    def insert(self, vector: MultiPoly) -> dict[int, Fraction] | None:
-        """Add vector, as the integer row scale*vector for the least
-        positive integer scale that clears its denominators; return the
-        combination of inserted vectors equal to 1 once 1 is in the span.
-        The constant monomial is the smallest, so that is exactly when a
-        row is keyed by it."""
-        vec, scale = _numerators(vector.terms)
-        combo = {len(self.scales): 1}
-        self.scales.append(scale or 1)
-        while vec:
-            pivot = max(vec)
-            if pivot not in self.rows:
-                self.rows[pivot] = (vec, combo)
-                if any(pivot):
-                    return None
-                lead = vec[pivot]
-                return {i: Fraction(c * self.scales[i], lead) for i, c in combo.items()}
-            rvec, rcombo = self.rows[pivot]
-            g = math.gcd(rvec[pivot], vec[pivot])
-            a, b = rvec[pivot] // g, vec[pivot] // g
-            if a != 1:
-                vec = {m: a * c for m, c in vec.items()}
-                combo = {i: a * c for i, c in combo.items()}
-            for m, c in rvec.items():
-                _add_term(vec, m, -b * c)
-            for i, c in rcombo.items():
-                _add_term(combo, i, -b * c)
-        return None
-
-
 def verify_semicompatibility_witness(ring: QuotientRing,
                                      d1: Derivation, d2: Derivation,
                                      kernel1: Iterable[MultiPoly],
@@ -255,9 +222,9 @@ def verify_semicompatibility_witness(ring: QuotientRing,
     combination and the total where the walk stopped.
 
     Integral kernel elements are multiplied and reduced with int
-    coefficients, and the span clears each product's denominators, so
-    `Fraction` arithmetic runs only for rational kernel elements and for
-    the report's coefficients and factors.
+    coefficients, and each product enters the echelon as its integer
+    numerators, so `Fraction` arithmetic runs only for rational kernel
+    elements and for the report's coefficients (c*scale/lead) and factors.
     """
     derivations = (d1, d2)
     return _witness_search(ring, kernel1, kernel2, degree,
@@ -277,18 +244,22 @@ def _witness_search(ring: QuotientRing, kernel1: Iterable[MultiPoly],
                                             f" {('first', 'second')[side]} derivation")
 
     left, right = ([[(i, _label(f), f) for i, f in enumerate(k)]] for k in kernels)
-    span = _Span()
-    visited = []  # (left_label, right_label, left, right, degree)
+    span = Echelon()
+    visited = []  # (left_label, right_label, left, right, degree, scale)
     for total in range(2, 2 * degree + 1):
         for dl in range(max(1, total - degree), min(degree, total - 1) + 1):
             for _, llabel, pleft in _level(ring, left, dl):
                 for _, rlabel, pright in _level(ring, right, total - dl):
-                    visited.append((llabel, rlabel, pleft, pright, total))
-                    combo = span.insert(ring.normal_form(pleft * pright))
-                    if combo is not None:
+                    vec, scale = _numerators(ring.normal_form(pleft * pright).terms)
+                    visited.append((llabel, rlabel, pleft, pright, total, scale or 1))
+                    pivot = span.insert(vec)
+                    # 1 is in the span once the smallest monomial, 1, is a pivot
+                    if pivot is not None and not any(pivot):
+                        row, combo = span.rows[pivot]
                         terms = tuple(
-                            WitnessTerm(combo[i], ll, rl, MultiPoly(lp.gens, lp.terms),
+                            WitnessTerm(Fraction(combo[i] * sc, row[pivot]), ll, rl,
+                                        MultiPoly(lp.gens, lp.terms),
                                         MultiPoly(rp.gens, rp.terms), t)
-                            for i, (ll, rl, lp, rp, t) in enumerate(visited) if i in combo)
+                            for i, (ll, rl, lp, rp, t, sc) in enumerate(visited) if i in combo)
                         return WitnessReport(degree, terms, found_degree=total)
     return WitnessReport(degree)

@@ -1,10 +1,10 @@
 """Sparse multivariate polynomials over the rationals.
 
 Coefficients are exact `fractions.Fraction` values; there is no floating
-point anywhere in this package: a float or string coefficient raises
-TypeError (text goes through `parse_poly`).  A polynomial is a map from
-exponent vectors (one slot per named generator, in a fixed order) to
-nonzero coefficients, e.g. over generators ("a1", "a2", "b1", "b2")
+point anywhere in this package: a float, bool or string coefficient
+raises TypeError (text goes through `parse_poly`).  A polynomial is a
+map from exponent vectors (one slot per named generator, in a fixed
+order) to nonzero coefficients, e.g. over generators ("a1", "a2", "b1", "b2")
 
     a1*b2 - a2*b1 - 1   <->   {(1,0,0,1): 1, (0,1,1,0): -1, (0,0,0,0): -1}
 
@@ -19,12 +19,13 @@ a nonzero Fraction.  Results computed here (`+`, `-`, `*`, `**`,
 checks through `MultiPoly._of`, because they combine checked terms
 only: exponents add (a rewrite divides out only a power of the lead
 that divides the monomial), Fraction arithmetic gives Fractions, and
-`_add_term` drops every sum that cancels.
+`_add_term` (stated once, in `orbitkit.echelon`) drops every sum that
+cancels.
 
-Int coefficients live inside the package only.  `QuotientRing.normal_form`
-and `apply_derivation` work on integer numerators over a common
-denominator (`_numerators`, undone by `_over`): Fraction inputs give
-Fractions, int-coefficient inputs ints.  The kernel-product witness
+Int coefficients live inside the package only.  `QuotientRing.normal_form`,
+`apply_derivation` and `delta_degree` work on integer numerators over a
+common denominator (`_numerators`, undone by `_over`): Fraction inputs
+give Fractions, int-coefficient inputs ints.  The kernel-product witness
 search stores integral kernel coefficients as ints (`_ints`), and its
 report holds Fraction-coefficient polynomials again.
 
@@ -37,6 +38,8 @@ import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
+
+from ..echelon import _add_term
 
 __all__ = ["MultiPoly", "PolyParseError", "parse_poly", "poly_to_text"]
 
@@ -60,7 +63,7 @@ class MultiPoly:
             mono = tuple(mono)
             if len(mono) != len(gens) or any(type(e) is not int or e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono} for generators {gens}")
-            if not isinstance(coef, (int, Fraction)):
+            if not isinstance(coef, (int, Fraction)) or isinstance(coef, bool):
                 raise TypeError(f"coefficient {coef!r} is not an int or a Fraction")
             coef = Fraction(coef)
             if coef:
@@ -108,16 +111,18 @@ class MultiPoly:
         """Maximum monomial degree; -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)
 
-    def _check_gens(self, other: "MultiPoly"):
+    def _operand(self, other) -> "MultiPoly":
+        """other over self's generators; a scalar becomes a checked constant."""
+        if not isinstance(other, MultiPoly):
+            return MultiPoly.constant(self.gens, other)
         if self.gens != other.gens:
             raise ValueError(f"generator mismatch: {self.gens} vs {other.gens}")
+        return other
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.gens, other)
-        self._check_gens(other)
+        other = self._operand(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             _add_term(out, m, c)
@@ -129,15 +134,13 @@ class MultiPoly:
         return MultiPoly._of(self.gens, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.gens, other)
-        self._check_gens(other)
+        other = self._operand(other)
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -210,15 +213,6 @@ def _numerators(terms: Mapping[Monomial, Scalar]) -> tuple[dict[Monomial, Scalar
 def _over(terms: dict[Monomial, Scalar], d: int | None) -> dict[Monomial, Scalar]:
     """Undo `_numerators`: terms / d as Fractions, or terms if d is None."""
     return terms if d is None else {m: Fraction(c, d) for m, c in terms.items()}
-
-
-def _add_term(terms: dict, key, coef) -> None:
-    """Add coef into terms[key], dropping the key when the sum cancels."""
-    s = terms.get(key, 0) + coef
-    if s:
-        terms[key] = s
-    else:
-        terms.pop(key, None)
 
 
 def _signed_sum(pairs: Iterable[tuple[Fraction, str]]) -> str:

@@ -23,7 +23,8 @@ forms are equal.
 from operator import add, floordiv, sub
 from typing import Iterable
 
-from .poly import Monomial, MultiPoly, _add_term, _ints, _numerators, _over, parse_poly
+from ..echelon import _add_term
+from .poly import Monomial, MultiPoly, _ints, _numerators, _over, parse_poly
 
 __all__ = ["QuotientRing", "RelationError"]
 

@@ -9,11 +9,11 @@ orbit.  The D_m count is the verbatim pair-of-partitions formula; it
 does not double very even partitions (see OrbitCount.notes).
 
 The centralizer oracle recomputes Jordan-type centralizer dimensions
-from scratch, by solving the commutator linear system exactly with
-fraction-free integer elimination, so the conjugate-partition dimension
-formula is tested against something it does not share code with.  The
-Jordan matrix N is block diagonal, so block (a, b) of [N, Y] involves
-only block (a, b) of Y: the oracle solves one block pair at a time.
+from scratch, from the exact rank (`echelon.rank`) of the commutator
+linear system, so the conjugate-partition dimension formula is tested
+against something it does not share code with.  The Jordan matrix N is
+block diagonal, so block (a, b) of [N, Y] involves only block (a, b) of
+Y: the oracle solves one block pair at a time.
 """
 
 import operator
@@ -28,7 +28,8 @@ from .partitions import (
     count_partitions,
     enumerate_partitions,
 )
-from .rootsys import LieType, RootSystemConsistencyError, _rank_exact
+from .echelon import rank
+from .rootsys import LieType, RootSystemConsistencyError
 
 __all__ = [
     "OrbitCount",
@@ -127,14 +128,14 @@ def _block_pair_kernel(a: int, b: int) -> int:
     rows = []
     for i in range(a):
         for j in range(b):
-            # coefficient of Y[t][s] (column t*b + s) in (J_a Y - Y J_b)[i][j]
-            row = [0] * (a * b)
+            # coefficient of Y[t][s] (key (t, s)) in (J_a Y - Y J_b)[i][j]
+            row = {}
             if i + 1 < a:
-                row[(i + 1) * b + j] = 1
+                row[i + 1, j] = 1
             if j > 0:
-                row[i * b + j - 1] = -1
+                row[i, j - 1] = -1
             rows.append(row)
-    return a * b - _rank_exact(rows)
+    return a * b - rank(rows)
 
 
 def centralizer_dimension_oracle(p: Partition) -> int:

@@ -11,18 +11,19 @@ closure yields each root's coefficient and ambient vectors together.
 Self-checks raise RootSystemConsistencyError.  Before the closure runs:
 a zero simple root, a non-integral Cartan pairing, a G2/F4 matrix unlike
 its table, an off-diagonal Cartan entry outside 0..-3, or a singular
-Cartan matrix.  Nonzero Euclidean simple roots with such entries and a
-Cartan matrix of full rank are independent, so their Cartan matrix is
-of finite type and the closure ends.  After it: a mixed-sign reflected
-root, or a height-1 root that is not simple.
+Cartan matrix (by `echelon.rank`).  Nonzero Euclidean simple roots with
+such entries and a Cartan matrix of full rank are independent, so their
+Cartan matrix is of finite type and the closure ends.  After it: a
+mixed-sign reflected root, or a height-1 root that is not simple.
 """
 
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
+
+from .echelon import rank
 
 __all__ = [
     "LieType",
@@ -174,32 +175,6 @@ def _cartan_from_simple(simple: Sequence[Vector]) -> tuple[tuple[int, ...], ...]
     return tuple(rows)
 
 
-def _rank_exact(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix, eliminating in place without fractions:
-    each row r below the pivot row becomes lead*r - f*pivot_row, divided
-    by the gcd of its entries.  Scaling a row by a nonzero integer leaves
-    the rank unchanged, and the gcd keeps the entries small."""
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pivot_row = rows[rank]
-        lead = pivot_row[c]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][c]
-            if f:
-                row = [lead * a - f * b for a, b in zip(rows[r], pivot_row)]
-                g = math.gcd(*row)
-                rows[r] = [a // g for a in row] if g > 1 else row
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def _closure_from_cartan(cartan: Sequence[Sequence[int]],
                          simple: Sequence[Vector]) -> dict[tuple[int, ...], Vector]:
     """Positive roots: coefficient vector over the simple roots -> ambient vector.
@@ -257,7 +232,7 @@ def build_root_system(t: LieType) -> RootSystem:
             if i != j and entry not in (0, -1, -2, -3):
                 raise RootSystemConsistencyError(
                     f"Cartan off-diagonal entry {entry} out of range in {t}")
-    if _rank_exact([list(row) for row in cartan]) < len(cartan):
+    if rank({j: x for j, x in enumerate(row) if x} for row in cartan) < len(cartan):
         raise RootSystemConsistencyError(
             f"singular Cartan matrix in {t}: the simple roots are dependent")
 

@@ -286,6 +286,19 @@ class TestColdProcess:
                                  " sys.modules if m.startswith('orbitkit.lndcalc')))")
         assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
+    def test_lndcalc_set_up_loads_only_lndcalc_and_echelon(self):
+        # the lnd-algebra set-up: the derivations are built and checked
+        # without the root-system layer
+        proc = self.python("-c", "import orbitkit.lndcalc, sys;"
+                                 " orbitkit.lndcalc.sl2_standard_derivations();"
+                                 " import json; print(json.dumps(sorted("
+                                 "m for m in sys.modules if 'orbitkit' in m)))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert "orbitkit.rootsys" not in loaded
+        assert [m for m in loaded if not m.startswith("orbitkit.lndcalc")] == [
+            "orbitkit", "orbitkit.echelon"]
+
     def test_lnd_verify_loads_lndcalc_on_demand(self):
         proc = self.python("-m", "orbitkit.cli", "lnd", "verify")
         assert proc.returncode == EXIT_PASS, proc.stderr

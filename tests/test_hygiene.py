@@ -73,6 +73,11 @@ def test_oracles_import_nothing_from_orbitkit():
     assert _orbitkit_imports(Path(oracles.__file__).read_text()) == []
 
 
+def test_echelon_is_a_leaf_module():
+    # rootsys, orbits and lndcalc all import it, so it imports none of them
+    assert _orbitkit_imports((SRC / "echelon.py").read_text()) == []
+
+
 def test_import_detector_flags_each_form():
     source = "\n".join([
         "import orbitkit",

@@ -221,7 +221,7 @@ class TestDerivations:
         with pytest.raises(ValueError):
             make_derivation(ring, c1="a1")
 
-    @pytest.mark.parametrize("image", [1.5, None, b"a1", ["a1"]])
+    @pytest.mark.parametrize("image", [1.5, None, b"a1", ["a1"], True, False])
     def test_image_of_other_type_rejected(self, ring, image):
         with pytest.raises(TypeError, match="not a MultiPoly, str, int or Fraction"):
             make_derivation(ring, a1=image)
@@ -662,16 +662,17 @@ def test_sl2_checks_apply_each_derivation_once_per_degree_step(monkeypatch):
     # a cold suite: 2 relation checks, 12 steps for the generator degrees
     # (1 per kernel generator, 2 per other generator) and 4 for a1*b2; the
     # witness search reads the certified memberships instead of applying
-    # d1 and d2 to the kernel generators again (22 calls before)
+    # d1 and d2 to the kernel generators again (22 calls before); each step
+    # of delta_degree, and each apply_derivation, is one Leibniz pass
     calls = 0
-    original = lndcalc.derivations.apply_derivation
+    original = lndcalc.derivations._derive
 
-    def counting(ring, d, f):
+    def counting(ring, d, terms):
         nonlocal calls
         calls += 1
-        return original(ring, d, f)
+        return original(ring, d, terms)
 
-    monkeypatch.setattr(lndcalc.derivations, "apply_derivation", counting)
+    monkeypatch.setattr(lndcalc.derivations, "_derive", counting)
     sl2_standard_derivations.cache_clear()
     try:
         records = lndcalc.sl2_checks(4)

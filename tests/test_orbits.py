@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitkit import orbits, partitions
+from orbitkit import echelon, orbits, partitions
 from orbitkit.orbits import (
     CapacityError,
     centralizer_dimension_oracle,
@@ -128,7 +128,7 @@ class TestTypeAClassification:
 
 def fraction_rank(matrix):
     """Rank by Gaussian elimination over Fraction; shares no code with
-    orbits._rank_exact."""
+    echelon.rank."""
     rows = [[Fraction(a) for a in row] for row in matrix]
     rank = 0
     for c in range(len(rows[0]) if rows else 0):
@@ -169,6 +169,11 @@ def whole_commutator_system(p):
     return rows
 
 
+def sparse(matrix):
+    """The rows of a dense matrix as echelon vectors: column -> nonzero entry."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
 class TestRankExact:
     @pytest.mark.parametrize("matrix,rank", [
         ([[2, 4], [1, 2]], 1),
@@ -180,7 +185,7 @@ class TestRankExact:
         ([], 0),
     ], ids=str)
     def test_non_unit_pivots(self, matrix, rank):
-        assert orbits._rank_exact([row[:] for row in matrix]) == rank
+        assert echelon.rank(sparse(matrix)) == rank
 
     def test_random_matrices_match_fraction_elimination(self):
         rng = random.Random(20260)
@@ -193,7 +198,65 @@ class TestRankExact:
                 a, b = rng.randint(-4, 4), rng.randint(-4, 4)
                 matrix[i] = [a * x + b * y for x, y in zip(matrix[i], matrix[j])]
             expected = fraction_rank(matrix)
-            assert orbits._rank_exact([row[:] for row in matrix]) == expected, matrix
+            assert echelon.rank(sparse(matrix)) == expected, matrix
+
+
+def random_vectors(rng, count, keys):
+    """count integer maps over the given keys, with entries in -9..9; some
+    vectors are built dependent on earlier ones."""
+    vectors = []
+    for _ in range(count):
+        if len(vectors) > 1 and rng.random() < 0.4:
+            (u, v), (a, b) = rng.sample(vectors, 2), (rng.randint(-4, 4), rng.randint(-4, 4))
+            vec = {k: a * u.get(k, 0) + b * v.get(k, 0) for k in u.keys() | v.keys()}
+        else:
+            vec = {k: rng.randint(-9, 9) for k in rng.sample(keys, rng.randint(0, len(keys)))}
+        vectors.append({k: x for k, x in vec.items() if x})
+    return vectors
+
+
+class TestEchelon:
+    """The package's one eliminator, on maps with monomial (tuple) keys."""
+
+    KEYS = [(i, j, k) for i in range(3) for j in range(3) for k in range(2)]
+
+    def dense(self, vectors):
+        return [[v.get(k, 0) for k in self.KEYS] for v in vectors]
+
+    def test_random_monomial_maps_match_fraction_elimination(self):
+        rng = random.Random(27)
+        for _ in range(200):
+            vectors = random_vectors(rng, rng.randint(0, 10), self.KEYS)
+            expected = fraction_rank(self.dense(vectors))
+            assert echelon.rank([dict(v) for v in vectors]) == expected, vectors
+
+    def test_insert_returns_none_exactly_for_dependent_vectors(self):
+        rng = random.Random(2027)
+        for _ in range(100):
+            span, vectors = echelon.Echelon(), []
+            for vec in random_vectors(rng, rng.randint(1, 10), self.KEYS):
+                before = fraction_rank(self.dense(vectors))
+                vectors.append(vec)
+                independent = fraction_rank(self.dense(vectors)) == before + 1
+                pivot = span.insert(dict(vec))
+                assert (pivot is not None) == independent, vectors
+                if independent:
+                    assert pivot in span.rows and pivot == max(span.rows[pivot][0])
+
+    def test_each_row_is_its_combination_of_inserted_vectors(self):
+        rng = random.Random(1968)
+        for _ in range(100):
+            span = echelon.Echelon()
+            vectors = random_vectors(rng, rng.randint(1, 10), self.KEYS)
+            for vec in vectors:
+                span.insert(dict(vec))
+            assert span.inserted == len(vectors)
+            for row, combo in span.rows.values():
+                total = {}
+                for i, c in combo.items():
+                    for k, x in vectors[i].items():
+                        total[k] = total.get(k, 0) + c * x
+                assert {k: x for k, x in total.items() if x} == row
 
 
 class TestDimensions:
@@ -236,19 +299,19 @@ class TestDimensions:
 
     def test_oracle_solves_one_system_per_pair_of_block_sizes(self, monkeypatch):
         shapes = []
-        rank_exact = orbits._rank_exact
+        rank = orbits.rank
 
         def counted(rows):
-            shapes.append((len(rows), len(rows[0])))
-            return rank_exact(rows)
+            shapes.append(len(rows))
+            return rank(rows)
 
-        monkeypatch.setattr(orbits, "_rank_exact", counted)
+        monkeypatch.setattr(orbits, "rank", counted)
         for k in range(1, orbits.ORACLE_SIZE_CAP + 1):
             for p in enumerate_partitions(k):
                 shapes.clear()
                 centralizer_dimension_oracle(p)
                 assert len(shapes) == len(set(p)) ** 2, p
-                assert max(shapes) == (p[0] ** 2, p[0] ** 2), p
+                assert max(shapes) == p[0] ** 2, p
 
     def test_oracle_on_empty_partition(self):
         # no Jordan blocks: no systems, kernel dimension 0

@@ -169,19 +169,21 @@ class TestArithmetic:
             with pytest.raises(ValueError, match="only nonnegative integer powers"):
                 p ** exponent
 
-    @pytest.mark.parametrize("coef", [0.1, 1.0, "1/4", None], ids=repr)
+    @pytest.mark.parametrize("coef", [0.1, 1.0, "1/4", None, True, False], ids=repr)
     def test_inexact_coefficient_refused(self, coef):
-        # a float would become a binary fraction: 0.1 -> 3602879701896397/2**55
+        # a float would become a binary fraction: 0.1 -> 3602879701896397/2**55;
+        # True == 1, but a stored coefficient is never a bool
         with pytest.raises(TypeError, match="not an int or a Fraction"):
             MultiPoly(("x",), {(1,): coef})
 
     def test_float_scalar_refused(self):
         p = MultiPoly(("x",), {(1,): 3})
         zero = MultiPoly(("x",))
-        for op in (lambda: p + 0.5, lambda: p - 0.5, lambda: 0.5 - p, lambda: p * 0.5,
-                   lambda: zero * 0.5):
-            with pytest.raises(TypeError):
-                op()
+        for scalar in (0.5, True, False):
+            for op in (lambda: p + scalar, lambda: p - scalar, lambda: scalar - p,
+                       lambda: p * scalar, lambda: zero * scalar):
+                with pytest.raises(TypeError, match="not an int or a Fraction"):
+                    op()
         assert p * Fraction(1, 2) - 1 == MultiPoly(("x",), {(1,): Fraction(3, 2), (0,): -1})
 
 
