@@ -115,7 +115,10 @@ def delta_degree(ring: QuotientRing, d: Derivation, f: MultiPoly,
     """Largest n with d^n(f) nonzero in the ring; kernel elements have
     degree 0.  Certifies a degree of at most `cap`: raises
     NotNilpotentError once d^(cap+1)(f) is still nonzero.  d is linear,
-    so the chain runs on the integer numerators of f's normal form."""
+    so the chain runs on the integer numerators of f's normal form.  A
+    cap that is not a nonnegative int (a bool included) raises ValueError."""
+    if type(cap) is not int or cap < 0:
+        raise ValueError(f"cap must be a nonnegative int, got {cap!r}")
     terms, _ = _numerators(ring.normal_form(f).terms)
     if not terms:
         raise ValueError("delta-degree is defined for nonzero elements only")

@@ -18,16 +18,18 @@ a nonzero Fraction.  Results computed here (`+`, `-`, `*`, `**`,
 `substitute`, `QuotientRing.normal_form`, `apply_derivation`) skip the
 checks through `MultiPoly._of`, because they combine checked terms
 only: exponents add (a rewrite divides out only a power of the lead
-that divides the monomial), Fraction arithmetic gives Fractions, and
+that divides the monomial), `_over` divides into Fractions, and
 `_add_term` (stated once, in `orbitkit.echelon`) drops every sum that
 cancels.
 
-Int coefficients live inside the package only.  `QuotientRing.normal_form`,
-`apply_derivation` and `delta_degree` work on integer numerators over a
-common denominator (`_numerators`, undone by `_over`): Fraction inputs
-give Fractions, int-coefficient inputs ints.  The kernel-product witness
-search stores integral kernel coefficients as ints (`_ints`), and its
-report holds Fraction-coefficient polynomials again.
+Int coefficients live inside the package only.  `*`, `**` (and through
+them `substitute`), `QuotientRing.normal_form`, `apply_derivation` and
+`delta_degree` work on integer numerators over a common denominator
+(`_numerators`, undone once by `_over`): any Fraction operand gives
+Fractions, int-coefficient operands ints.  `_mul` is the one product
+loop, for `*`, `**` and the relation's powers.  The kernel-product
+witness search stores integral kernel coefficients as ints (`_ints`),
+and its report holds Fraction-coefficient polynomials again.
 
 Polynomial text (`parse_poly`, and `poly_to_text`'s output) is terms
 joined by `+`/`-`, each term factors joined by `*`, each factor a
@@ -37,6 +39,7 @@ coefficient `n` or `n/d` or a generator `gen` or `gen^k`.
 import math
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 from ..echelon import _add_term
@@ -141,30 +144,37 @@ class MultiPoly:
 
     def __mul__(self, other):
         other = self._operand(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _add_term(out, tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
-        return MultiPoly._of(self.gens, out)
+        (t1, d1), (t2, d2) = _numerators(self.terms), _numerators(other.terms)
+        d = d1 if d2 is None else d2 if d1 is None else d1 * d2
+        return MultiPoly._of(self.gens, _over(_mul(t1, t2), d))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """Binary powering on the integer numerators, divided once by d**n;
+        p ** 0 is the checked constant 1."""
         if type(n) is not int or n < 0:
             raise ValueError("only nonnegative integer powers")
-        result, base = None, self
+        if not n:
+            return MultiPoly.constant(self.gens, 1)
+        base, d = _numerators(self.terms)
+        d, result = None if d is None else d ** n, None
         while n:
             if n & 1:
-                result = base if result is None else result * base
+                result = base if result is None else _mul(result, base)
             n >>= 1
             if n:
-                base = base * base
-        return MultiPoly.constant(self.gens, 1) if result is None else result
+                base = _mul(base, base)
+        return MultiPoly._of(self.gens, _over(result, d))
 
     def substitute(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Replace each named generator by its image; generators not named
-        map to themselves.  The images share one generator context, which the
-        result is over.  A term of k factors costs k - 1 products."""
+        map to themselves, and naming an unknown one raises ValueError.  The
+        images share one generator context, which the result is over.  A
+        term of k factors costs k - 1 products."""
+        unknown = [name for name in images if name not in self.gens]
+        if unknown:
+            raise ValueError(f"images given for unknown generators {unknown}")
         cache = {name: images[name] if name in images else MultiPoly.generator(self.gens, name)
                  for name in self.gens}
         gens = cache[self.gens[0]].gens if self.gens else self.gens
@@ -194,6 +204,16 @@ class MultiPoly:
 
     def __str__(self):
         return poly_to_text(self)
+
+
+def _mul(t1: Mapping[Monomial, Scalar], t2: Mapping[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+    """The product of two term maps, as a new map; exponent vectors add,
+    so shifted ones (see `QuotientRing`) multiply too."""
+    out: dict[Monomial, Scalar] = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            _add_term(out, tuple(map(add, m1, m2)), c1 * c2)
+    return out
 
 
 def _ints(terms: Mapping[Monomial, Scalar]) -> dict[Monomial, Scalar]:

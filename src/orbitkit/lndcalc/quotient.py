@@ -24,7 +24,7 @@ from operator import add, floordiv, sub
 from typing import Iterable
 
 from ..echelon import _add_term
-from .poly import Monomial, MultiPoly, _ints, _numerators, _over, parse_poly
+from .poly import Monomial, MultiPoly, _ints, _mul, _numerators, _over, parse_poly
 
 __all__ = ["QuotientRing", "RelationError"]
 
@@ -55,8 +55,8 @@ class QuotientRing:
         self._support = [i for i, e in enumerate(self.lead) if e]
         self._exponents = [self.lead[i] for i in self._support]
         # R^0, R^1, ..., each monomial of R^k shifted by -k*lead; grown by _reduce
-        self._powers = [[((0,) * len(self.gens), 1)],
-                        [(tuple(map(sub, m, self.lead)), c) for m, c in replacement.items()]]
+        self._powers = [{(0,) * len(self.gens): 1},
+                        {tuple(map(sub, m, self.lead)): c for m, c in replacement.items()}]
 
     # -- element constructors ------------------------------------------
 
@@ -104,12 +104,8 @@ class QuotientRing:
                 _add_term(done, mono, coef)
                 continue
             while len(powers) <= k:
-                product: dict = {}
-                for s1, c1 in powers[-1]:
-                    for s2, c2 in powers[1]:
-                        _add_term(product, tuple(map(add, s1, s2)), c1 * c2)
-                powers.append(list(product.items()))
-            for shift, rcoef in powers[k]:
+                powers.append(_mul(powers[-1], powers[1]))
+            for shift, rcoef in powers[k].items():
                 _add_term(terms, tuple(map(add, mono, shift)), coef * rcoef)
         return done
 

@@ -279,7 +279,7 @@ class TestTrustedConstruction:
             f = random_reduced(ring, rng) * c
             g = random_reduced(ring, rng)
             results = [f + g, f - g, -f, f + (-f), f * g, f ** rng.randint(0, 4),
-                       f + c, c - f, f * c, f * 2, 2 - f,
+                       f ** 7, (f * c) ** 5, f + c, c - f, f * c, f * 2, 2 - f,
                        f.substitute({"a1": g, "b2": -g}),
                        ring.normal_form(f * g), ring.normal_form(g ** 3)]
             results += [apply_derivation(ring, d, h) for d in derivations for h in (f, f * g)]
@@ -312,6 +312,22 @@ class TestDeltaDegree:
             delta_degree(ring, d1, f, cap=1)
         assert info.value.cap == 1
         assert "cap 1" in str(info.value)
+
+    @pytest.mark.parametrize("cap", [-1, -5, True, False, 2.0, "4", None], ids=repr)
+    def test_bad_cap_refused(self, ring, derivations, cap):
+        # cap=-1 raised NotNilpotentError without applying d once, and
+        # cap=True was read as 1
+        d1, _ = derivations
+        with pytest.raises(ValueError, match="cap must be a nonnegative int"):
+            delta_degree(ring, d1, ring.generator("a1"), cap=cap)
+        with pytest.raises(ValueError, match="cap must be a nonnegative int"):
+            verify_compatibility_condition2(ring, d1, d1, ring.generator("a1"), cap=cap)
+
+    def test_cap_zero_certifies_the_kernel(self, ring, derivations):
+        d1, _ = derivations
+        assert delta_degree(ring, d1, ring.generator("a1"), cap=0) == 0
+        with pytest.raises(NotNilpotentError, match="within 1 applications"):
+            delta_degree(ring, d1, ring.generator("b1"), cap=0)
 
     def test_zero_input_rejected(self, ring, derivations):
         d1, _ = derivations

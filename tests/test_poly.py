@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from orbitkit.lndcalc import poly
 from orbitkit.lndcalc.poly import MultiPoly, PolyParseError, parse_poly, poly_to_text
 from orbitkit.lndcalc.sl2 import sign_flip_fixes_hypersurface
+from perfbench import oracles
 
 GENS = ("a1", "a2", "b1", "b2")
 
@@ -42,15 +44,16 @@ class TestArithmetic:
 
     @pytest.fixture
     def products(self, monkeypatch):
-        """The list of MultiPoly products made since it was last cleared."""
+        """The list of term-map products (`poly._mul`, behind `*` and `**`)
+        made since it was last cleared."""
         calls = []
-        original = MultiPoly.__mul__
+        original = poly._mul
 
-        def counting_mul(self, other):
+        def counting_mul(t1, t2):
             calls.append(1)
-            return original(self, other)
+            return original(t1, t2)
 
-        monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+        monkeypatch.setattr(poly, "_mul", counting_mul)
         return calls
 
     def test_power_squares_only_while_bits_remain(self, products):
@@ -131,6 +134,16 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="images over generators other than"):
             p.substitute({"u": gen("a1")})
 
+    def test_substitute_refuses_unknown_generators(self):
+        # an image for a name that is not a generator was silently ignored
+        gens = ("u", "v")
+        p = parse_poly("u*v + 1", gens)
+        u = MultiPoly.generator(gens, "u")
+        with pytest.raises(ValueError, match=r"unknown generators \['w'\]"):
+            p.substitute({"w": u})
+        with pytest.raises(ValueError, match=r"unknown generators \['w', 'x'\]"):
+            p.substitute({"u": u, "w": u, "x": u})
+
     def test_repr_names_generators_and_text(self):
         assert repr(gen("a1") - 2) == "MultiPoly(('a1', 'a2', 'b1', 'b2'), 'a1 - 2')"
 
@@ -185,6 +198,69 @@ class TestArithmetic:
                 with pytest.raises(TypeError, match="not an int or a Fraction"):
                     op()
         assert p * Fraction(1, 2) - 1 == MultiPoly(("x",), {(1,): Fraction(3, 2), (0,): -1})
+
+
+def random_operand(rng, kind, max_terms=4, max_exp=3):
+    """A nonzero polynomial with int coefficients, built unchecked the way
+    the package builds its int-coefficient results ("int"), or with
+    Fraction coefficients that all have a denominator ("fraction")."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mono = tuple(rng.randint(0, max_exp) for _ in GENS)
+        c = rng.choice((-1, 1)) * rng.randint(1, 5)
+        terms[mono] = c if kind == "int" else Fraction(2 * c + 1, 2 * rng.randint(1, 3))
+    return MultiPoly._of(GENS, terms) if kind == "int" else MultiPoly(GENS, terms)
+
+
+def coefficient_types(p):
+    return {type(c) for c in p.terms.values()}
+
+
+class TestOracleProducts:
+    """`*` and `**` against perfbench's oracles, which share no code with
+    them, and the coefficient-type rule: int-coefficient operands give
+    ints, any Fraction operand gives Fractions."""
+
+    @pytest.mark.parametrize("kinds", [("int", "int"), ("int", "fraction"),
+                                       ("fraction", "int"), ("fraction", "fraction")],
+                             ids="*".join)
+    def test_product(self, kinds):
+        rng = random.Random(2801)
+        for _ in range(40):
+            f, g = (random_operand(rng, kind) for kind in kinds)
+            product = f * g
+            assert product.terms == oracles.poly_mul(f.terms, g.terms)
+            assert coefficient_types(product) == {int if kinds == ("int", "int") else Fraction}
+
+    @pytest.mark.parametrize("kind", ["int", "fraction"])
+    def test_power(self, kind):
+        rng = random.Random(2802)
+        for _ in range(8):
+            f = random_operand(rng, kind, max_terms=3, max_exp=2)
+            for e in range(9):
+                power = f ** e
+                assert power.terms == oracles.poly_pow(f.terms, e)
+                # p ** 0 is the checked constant 1
+                assert coefficient_types(power) == {int if e and kind == "int" else Fraction}
+
+    def test_zero_operands(self):
+        rng = random.Random(2803)
+        zero = MultiPoly.zero(GENS)
+        for f in (zero, random_operand(rng, "int"), random_operand(rng, "fraction")):
+            assert (f * zero).is_zero() and (zero * f).is_zero()
+        assert zero ** 0 == MultiPoly.constant(GENS, 1)
+        assert all((zero ** e).is_zero() for e in range(1, 9))
+
+    @pytest.mark.parametrize("scalar", [3, -1, Fraction(2, 3), Fraction(-7, 2), 0], ids=str)
+    def test_scalar_operands(self, scalar):
+        # a scalar is a checked constant, so it is a Fraction operand
+        rng = random.Random(2804)
+        constant = {(0,) * len(GENS): Fraction(scalar)} if scalar else {}
+        for kind in ("int", "fraction"):
+            f = random_operand(rng, kind)
+            for product in (f * scalar, scalar * f):
+                assert product.terms == oracles.poly_mul(f.terms, constant)
+                assert coefficient_types(product) == ({Fraction} if scalar else set())
 
 
 class TestTextFormat:
