@@ -2,7 +2,9 @@
 degrees, kernel membership, and the kernel-product witness search that
 certifies semi-compatibility of two locally nilpotent derivations.
 `apply_derivation` and `delta_degree` share one Leibniz pass, `_derive`,
-on integer numerators; the search eliminates with `echelon.Echelon`.
+on integer numerators; its terms, like the search's kernel products, go
+to `QuotientRing._reduce` as they are made.  The search eliminates with
+`echelon.Echelon`.
 """
 
 from dataclasses import dataclass
@@ -10,9 +12,8 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
-from ..echelon import Echelon, _add_term
-from .poly import (Monomial, MultiPoly, Scalar, _ints, _numerators, _over, _signed_sum,
-                   poly_to_text)
+from ..echelon import Echelon
+from .poly import MultiPoly, _ints, _numerators, _over, _signed_sum, poly_to_text
 from .quotient import QuotientRing
 
 __all__ = [
@@ -99,15 +100,13 @@ def _derive(ring: QuotientRing, d: Derivation, terms: dict) -> dict:
     images are integral and the relation is monic."""
     if d.gens != ring.gens:
         raise ValueError(f"derivation over {d.gens}, ring over {ring.gens}")
-    images = [_ints(d.images[g].terms).items() for g in ring.gens]
-    out: dict[Monomial, Scalar] = {}
-    for mono, coef in terms.items():
-        for i, e in enumerate(mono):
-            if e:
-                lowered = mono[:i] + (e - 1,) + mono[i + 1:]
-                for m, c in images[i]:
-                    _add_term(out, tuple(map(add, lowered, m)), coef * e * c)
-    return ring._reduce(out)
+    # d(x_i) / x_i for each generator i (an exponent may read -1): d(coef *
+    # x^mono) is the sum of coef * e_i * c * x^(mono + m) over their terms
+    images = [[(m[:i] + (m[i] - 1,) + m[i + 1:], c) for m, c in _ints(d.images[g].terms).items()]
+              for i, g in enumerate(ring.gens)]
+    return ring._reduce((tuple(map(add, mono, m)), coef * e * c)
+                        for mono, coef in terms.items()
+                        for e, image in zip(mono, images) if e for m, c in image)
 
 
 def delta_degree(ring: QuotientRing, d: Derivation, f: MultiPoly,
@@ -202,7 +201,8 @@ def _level(ring: QuotientRing, levels: list, d: int) -> list:
     use."""
     base = levels[0]
     while len(levels) < d:
-        levels.append([(i, f"{label}*{base[i][1]}", ring.normal_form(p * base[i][2]))
+        levels.append([(i, f"{label}*{base[i][1]}",
+                        MultiPoly._of(ring.gens, ring._product(p.terms, base[i][2].terms)))
                        for last, label, p in levels[-1] for i in range(last, len(base))])
     return levels[d - 1]
 
@@ -224,11 +224,15 @@ def verify_semicompatibility_witness(ring: QuotientRing,
     answer, not the bound.  On success the report carries the explicit
     combination and the total where the walk stopped.
 
-    Integral kernel elements are multiplied and reduced with int
-    coefficients, and each product enters the echelon as its integer
-    numerators, so `Fraction` arithmetic runs only for rational kernel
-    elements and for the report's coefficients (c*scale/lead) and factors.
+    Products are made and reduced in one pass (`QuotientRing._product`),
+    with int coefficients for integral kernel elements, and each enters
+    the echelon as its integer numerators, so `Fraction` arithmetic runs
+    only for rational kernel elements and for the report's coefficients
+    (c*scale/lead) and factors.  A degree that is not a nonnegative int
+    (a bool included) raises ValueError.
     """
+    if type(degree) is not int or degree < 0:
+        raise ValueError(f"degree must be a nonnegative int, got {degree!r}")
     derivations = (d1, d2)
     return _witness_search(ring, kernel1, kernel2, degree,
                            lambda side, f: is_in_kernel(ring, derivations[side], f))
@@ -253,7 +257,7 @@ def _witness_search(ring: QuotientRing, kernel1: Iterable[MultiPoly],
         for dl in range(max(1, total - degree), min(degree, total - 1) + 1):
             for _, llabel, pleft in _level(ring, left, dl):
                 for _, rlabel, pright in _level(ring, right, total - dl):
-                    vec, scale = _numerators(ring.normal_form(pleft * pright).terms)
+                    vec, scale = _numerators(ring._product(pleft.terms, pright.terms))
                     visited.append((llabel, rlabel, pleft, pright, total, scale or 1))
                     pivot = span.insert(vec)
                     # 1 is in the span once the smallest monomial, 1, is a pivot

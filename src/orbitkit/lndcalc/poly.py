@@ -26,10 +26,11 @@ Int coefficients live inside the package only.  `*`, `**` (and through
 them `substitute`), `QuotientRing.normal_form`, `apply_derivation` and
 `delta_degree` work on integer numerators over a common denominator
 (`_numerators`, undone once by `_over`): any Fraction operand gives
-Fractions, int-coefficient operands ints.  `_mul` is the one product
-loop, for `*`, `**` and the relation's powers.  The kernel-product
-witness search stores integral kernel coefficients as ints (`_ints`),
-and its report holds Fraction-coefficient polynomials again.
+Fractions, int-coefficient operands ints.  `_mul` is the free product,
+for `*`, `**` and the relation's powers; the kernel-product witness
+search multiplies with `QuotientRing._product`, which reduces each term
+as it is made.  The search stores integral kernel coefficients as ints
+(`_ints`), and its report holds Fraction-coefficient polynomials again.
 
 Polynomial text (`parse_poly`, and `poly_to_text`'s output) is terms
 joined by `+`/`-`, each term factors joined by `*`, each factor a

@@ -9,6 +9,14 @@ relation (such as the SL2 determinant) int-coefficient polynomials
 reduce to int-coefficient polynomials; Fraction inputs are reduced on
 their integer numerators and still give Fractions.
 
+Terms are reduced as they arrive: `_reduce` takes (monomial,
+coefficient) pairs, so products (`_product`) and Leibniz passes are
+never summed first.  A ring is one-pass (`_one_pass`) when no monomial
+of R uses a generator of the lead: as k is the largest power, m / lead^k
+keeps some lead generator below its exponent in the lead, R^k does not
+raise it, so a rewrite's terms are reduced and go straight into the
+result.  Otherwise they go to a pending map that the same loop drains.
+
 Termination: lex order is a monomial order, so every monomial of R^k
 lies below lead^k, and a rewrite replaces a monomial by lex-smaller
 ones.  Lex order is a well-order, so any order of rewrites stops.
@@ -20,11 +28,12 @@ in any order: f and g are equal in the ring exactly when their normal
 forms are equal.
 """
 
+from itertools import chain, compress
 from operator import add, floordiv, sub
 from typing import Iterable
 
 from ..echelon import _add_term
-from .poly import Monomial, MultiPoly, _ints, _mul, _numerators, _over, parse_poly
+from .poly import Monomial, MultiPoly, Scalar, _ints, _mul, _numerators, _over, parse_poly
 
 __all__ = ["QuotientRing", "RelationError"]
 
@@ -52,8 +61,8 @@ class QuotientRing:
             raise RelationError(f"relation {relation} is zero or constant")
         scale = -1 / relation.terms[self.lead]
         replacement = _ints({m: c * scale for m, c in relation.terms.items() if m != self.lead})
-        self._support = [i for i, e in enumerate(self.lead) if e]
-        self._exponents = [self.lead[i] for i in self._support]
+        self._exponents = [e for e in self.lead if e]
+        self._one_pass = not any(any(compress(m, self.lead)) for m in replacement)
         # R^0, R^1, ..., each monomial of R^k shifted by -k*lead; grown by _reduce
         self._powers = [{(0,) * len(self.gens): 1},
                         {tuple(map(sub, m, self.lead)): c for m, c in replacement.items()}]
@@ -88,25 +97,36 @@ class QuotientRing:
         if f.gens != self.gens:
             raise ValueError(f"polynomial over {f.gens}, ring over {self.gens}")
         numerators, denominator = _numerators(f.terms)
-        return MultiPoly._of(self.gens, _over(self._reduce(numerators), denominator))
+        return MultiPoly._of(self.gens, _over(self._reduce(numerators.items()), denominator))
 
-    def _reduce(self, terms: dict) -> dict:
-        """The normal form of a term map of any coefficient type that the
-        caller gives up: it is emptied, or returned if there is no relation."""
-        if self.lead is None:
-            return terms
-        support, exponents, powers = self._support, self._exponents, self._powers
+    def _product(self, t1: dict, t2: dict) -> dict:
+        """The normal form of the product of two term maps, as a new map."""
+        return self._reduce((tuple(map(add, m1, m2)), c1 * c2)
+                            for m1, c1 in t1.items() for m2, c2 in t2.items())
+
+    def _reduce(self, pairs: Iterable[tuple[Monomial, Scalar]]) -> dict:
+        """The normal form of the sum of (monomial, coefficient) pairs of
+        any coefficient type, as a new term map; a monomial may come more
+        than once."""
         done: dict = {}
-        while terms:
-            mono, coef = terms.popitem()
-            k = min(map(floordiv, map(mono.__getitem__, support), exponents))
+        if self.lead is None:
+            for mono, coef in pairs:
+                _add_term(done, mono, coef)
+            return done
+        lead, exponents, powers = self.lead, self._exponents, self._powers
+        pending: dict = {}
+        rewritten = done if self._one_pass else pending
+        # once the pairs run out, take the pending terms until none is left
+        drain = iter(lambda: pending.popitem() if pending else None, None)
+        for mono, coef in chain(pairs, drain):
+            k = min(map(floordiv, compress(mono, lead), exponents))
             if not k:
                 _add_term(done, mono, coef)
                 continue
             while len(powers) <= k:
                 powers.append(_mul(powers[-1], powers[1]))
             for shift, rcoef in powers[k].items():
-                _add_term(terms, tuple(map(add, mono, shift)), coef * rcoef)
+                _add_term(rewritten, tuple(map(add, mono, shift)), coef * rcoef)
         return done
 
     def __repr__(self):

@@ -109,6 +109,21 @@ class TestQuotientRing:
             for mono in nf.terms:
                 assert not all(a >= b for a, b in zip(mono, ring.lead))
 
+    def test_ring_that_is_not_one_pass(self):
+        # the replacement x*y + 1 uses x, a generator of the lead x^2, so a
+        # rewrite of x^3 gives x^2*y, which holds the lead again
+        gens = ("x", "y")
+        other = QuotientRing(gens, parse_poly("x^2 - x*y - 1", gens))
+        assert str(other.element("x^3")) == "x*y^2 + x + y"
+        assert str(other.element("x^4")) == "x*y^3 + 2*x*y + y^2 + 1"
+        assert not other._one_pass
+
+    def test_one_pass_rings(self, ring):
+        # no monomial of the replacement uses a generator of the lead
+        assert ring._one_pass
+        for gens, relation, *_ in WITNESS_CASES_OTHER:
+            assert QuotientRing(gens, parse_poly(relation, gens))._one_pass
+
     def test_zero_or_constant_relation_rejected(self):
         gens = ("x", "y")
         for relation in (MultiPoly.zero(gens), MultiPoly.constant(gens, 3)):
@@ -467,13 +482,14 @@ class TestWitnessSearch:
         k2 = [MultiPoly(ring.gens, {(0, 0, 1, 0): Fraction(1), (0, 0, 0, 1): Fraction(2)}),
               MultiPoly(ring.gens, {(0, 0, 1, 0): Fraction(-3), (0, 0, 0, 1): Fraction(1)})]
         types = set()
-        mul = MultiPoly.__mul__
+        product = QuotientRing._product
 
-        def spy(self, other):
-            types.update(type(c) for p in (self, other) for c in p.terms.values())
-            return mul(self, other)
+        def spy(self, t1, t2):
+            reduced = product(self, t1, t2)
+            types.update(type(c) for t in (t1, t2, reduced) for c in t.values())
+            return reduced
 
-        monkeypatch.setattr(MultiPoly, "__mul__", spy)
+        monkeypatch.setattr(QuotientRing, "_product", spy)
         report = verify_semicompatibility_witness(ring, *derivations, k1, k2, 4)
         assert not report.found
         assert types == {int}
@@ -510,20 +526,20 @@ class TestWitnessSearch:
 
     def test_search_builds_products_lazily(self, ring, derivations, monkeypatch):
         # a degree-2 witness at degree bound 8: products with more factors
-        # are never built, so normal_form runs a few dozen times, not a
+        # are never built, so a few dozen reduced products are made, not a
         # thousand
         d1, d2 = derivations
         k1 = [ring.element(t) for t in ("a1", "a2", "a1 + a2", "a1 - a2")]
         k2 = [ring.element(t) for t in ("b1", "b2", "b1 + b2", "b1 - b2")]
         calls = 0
-        original = QuotientRing.normal_form
+        original = QuotientRing._product
 
-        def counting(self, f):
+        def counting(self, t1, t2):
             nonlocal calls
             calls += 1
-            return original(self, f)
+            return original(self, t1, t2)
 
-        monkeypatch.setattr(QuotientRing, "normal_form", counting)
+        monkeypatch.setattr(QuotientRing, "_product", counting)
         report = verify_semicompatibility_witness(ring, d1, d2, k1, k2, degree=8)
         assert report.equation() == "1 = a1*b2 - a2*b1"
         assert report.found_degree == 2
@@ -546,6 +562,19 @@ class TestWitnessSearch:
         assert not report.found
         assert report.degree_cap == 3
         assert "not found" in report.equation()
+
+    @pytest.mark.parametrize("degree", [True, False, -2, 2.5, "3", None])
+    def test_bad_degree_refused(self, ring, derivations, degree):
+        # degree=True ran as 1 and reported degree_cap=True, and degree=-2
+        # reported "1 not found at degree -2"
+        with pytest.raises(ValueError, match="degree must be a nonnegative int"):
+            verify_semicompatibility_witness(ring, *derivations, [ring.generator("a1")],
+                                             [ring.generator("b2")], degree)
+
+    def test_degree_zero_searches_nothing(self, ring, derivations):
+        report = verify_semicompatibility_witness(
+            ring, *derivations, [ring.generator("a1")], [ring.generator("b2")], 0)
+        assert report.equation() == "1 not found at degree 0"
 
     def test_found_follows_found_degree(self):
         assert not WitnessReport(3).found

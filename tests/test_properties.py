@@ -1,13 +1,14 @@
 """Property tests: the text round trip of polynomials, normal forms on
 C[SL2] and on random one-relation rings (against a largest-first
-reference rewrite), the witness search on random one-relation rings
+reference rewrite, and of unmerged term streams and products against
+normal_form), the witness search on random one-relation rings
 against a Fraction rank, the partition constructor's validation, and
 conjugation of partitions as an involution."""
 
 import re
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +87,16 @@ def test_one_relation_normal_form_is_canonical(case):
     assert ring.normal_form(ring.relation).is_zero()
     assert ring.normal_form(nf_f) == nf_f
     assert ring.normal_form(f * g) == ring.normal_form(nf_f * nf_g)
+
+
+@SMALL
+@given(one_relation_rings())
+def test_streamed_pairs_reduce_like_their_sum(case):
+    # the pairs come unmerged: f's terms twice, then g's terms
+    ring, f, g = case
+    pairs = chain(f.terms.items(), f.terms.items(), g.terms.items())
+    assert ring._reduce(pairs) == ring.normal_form(f + f + g).terms
+    assert ring._product(f.terms, g.terms) == ring.normal_form(f * g).terms
 
 
 def largest_first_normal_form(ring, f) -> dict:
