@@ -2,12 +2,13 @@
 degrees, kernel membership, and the kernel-product witness search that
 certifies semi-compatibility of two locally nilpotent derivations.
 `apply_derivation` and `delta_degree` share one Leibniz pass, `_derive`,
-on integer numerators; its terms, like the search's kernel products, go
-to `QuotientRing._reduce` as they are made.  The search eliminates with
-`echelon.Echelon`.
+on integer numerators, over the table each `Derivation` builds once;
+its terms, like the kernel products of the search (one entry, which
+checks memberships itself), go to `QuotientRing._reduce` as they are
+made.  The search eliminates with `echelon.Echelon`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
@@ -57,6 +58,9 @@ class Derivation:
 
     gens: tuple[str, ...]
     images: Mapping[str, MultiPoly]
+    # d(x_i) / x_i per generator i as (m, c) pairs, ints where integral (m
+    # may hold -1): d(coef * x^mono) is the sum of coef * e_i * c * x^(mono + m)
+    _table: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         missing = [g for g in self.gens if g not in self.images]
@@ -65,8 +69,13 @@ class Derivation:
         for name, img in self.images.items():
             if name not in self.gens:
                 raise ValueError(f"image given for unknown generator {name!r}")
+            if not isinstance(img, MultiPoly):
+                raise TypeError(f"image {img!r} of {name!r} is not a MultiPoly")
             if img.gens != self.gens:
                 raise ValueError(f"image of {name!r} is over different generators")
+        object.__setattr__(self, "_table", [
+            [(m[:i] + (m[i] - 1,) + m[i + 1:], c) for m, c in _ints(self.images[g].terms).items()]
+            for i, g in enumerate(self.gens)])
 
 
 def make_derivation(ring: QuotientRing, /,
@@ -89,24 +98,19 @@ def make_derivation(ring: QuotientRing, /,
 def apply_derivation(ring: QuotientRing, d: Derivation, f: MultiPoly) -> MultiPoly:
     """Extend the generator images by the Leibniz rule and reduce, on f's
     integer numerators: an int-coefficient f gives ints, a Fraction one Fractions."""
-    if f.gens != ring.gens:
-        raise ValueError(f"polynomial over {f.gens}, ring over {ring.gens}")
-    numerators, denominator = _numerators(f.terms)
+    numerators, denominator = _numerators(ring._own(f).terms)
     return MultiPoly._of(ring.gens, _over(_derive(ring, d, numerators), denominator))
 
 
 def _derive(ring: QuotientRing, d: Derivation, terms: dict) -> dict:
     """d(terms), reduced, as a new term map: ints stay ints when d's
-    images are integral and the relation is monic."""
+    images (read once, into d._table, when d is built) are integral and
+    the relation is monic."""
     if d.gens != ring.gens:
         raise ValueError(f"derivation over {d.gens}, ring over {ring.gens}")
-    # d(x_i) / x_i for each generator i (an exponent may read -1): d(coef *
-    # x^mono) is the sum of coef * e_i * c * x^(mono + m) over their terms
-    images = [[(m[:i] + (m[i] - 1,) + m[i + 1:], c) for m, c in _ints(d.images[g].terms).items()]
-              for i, g in enumerate(ring.gens)]
     return ring._reduce((tuple(map(add, mono, m)), coef * e * c)
                         for mono, coef in terms.items()
-                        for e, image in zip(mono, images) if e for m, c in image)
+                        for e, image in zip(mono, d._table) if e for m, c in image)
 
 
 def delta_degree(ring: QuotientRing, d: Derivation, f: MultiPoly,
@@ -195,15 +199,14 @@ def _label(p: MultiPoly) -> str:
 
 
 def _level(ring: QuotientRing, levels: list, d: int) -> list:
-    """(last factor index, label, reduced product) for the products of d
+    """(last factor index, label, reduced term map) for the products of d
     kernel elements of one side (levels[0]) with repetition, in
     combinations_with_replacement order; built from level d - 1 on first
     use."""
     base = levels[0]
     while len(levels) < d:
-        levels.append([(i, f"{label}*{base[i][1]}",
-                        MultiPoly._of(ring.gens, ring._product(p.terms, base[i][2].terms)))
-                       for last, label, p in levels[-1] for i in range(last, len(base))])
+        levels.append([(i, f"{label}*{base[i][1]}", ring._product(terms, base[i][2]))
+                       for last, label, terms in levels[-1] for i in range(last, len(base))])
     return levels[d - 1]
 
 
@@ -224,49 +227,38 @@ def verify_semicompatibility_witness(ring: QuotientRing,
     answer, not the bound.  On success the report carries the explicit
     combination and the total where the walk stopped.
 
-    Products are made and reduced in one pass (`QuotientRing._product`),
-    with int coefficients for integral kernel elements, and each enters
-    the echelon as its integer numerators, so `Fraction` arithmetic runs
-    only for rational kernel elements and for the report's coefficients
-    (c*scale/lead) and factors.  A degree that is not a nonnegative int
-    (a bool included) raises ValueError.
+    Products are term maps, made and reduced in one pass
+    (`QuotientRing._product`), ints for integral kernel elements; each
+    enters the echelon as its integer numerators, so `Fraction` arithmetic
+    runs only for rational kernel elements and for the report's
+    coefficients (c*scale/lead) and factors, its only polynomials.  A
+    degree that is not a nonnegative int (a bool included) raises ValueError.
     """
     if type(degree) is not int or degree < 0:
         raise ValueError(f"degree must be a nonnegative int, got {degree!r}")
-    derivations = (d1, d2)
-    return _witness_search(ring, kernel1, kernel2, degree,
-                           lambda side, f: is_in_kernel(ring, derivations[side], f))
-
-
-def _witness_search(ring: QuotientRing, kernel1: Iterable[MultiPoly],
-                    kernel2: Iterable[MultiPoly], degree: int, in_kernel) -> WitnessReport:
-    """verify_semicompatibility_witness, with the membership of each
-    reduced kernel element f of side 0 or 1 read from in_kernel(side, f)."""
-    kernels = [[MultiPoly._of(ring.gens, _ints(ring.normal_form(f).terms)) for f in k]
-               for k in (kernel1, kernel2)]
-    for side, elements in enumerate(kernels):
+    kernels = [[ring.normal_form(f) for f in k] for k in (kernel1, kernel2)]
+    for side, (d, elements) in enumerate(zip((d1, d2), kernels)):
         for f in elements:
-            if not in_kernel(side, f):
+            if not is_in_kernel(ring, d, f):
                 raise KernelMembershipError(f"{poly_to_text(f)} is not in the kernel of the"
                                             f" {('first', 'second')[side]} derivation")
 
-    left, right = ([[(i, _label(f), f) for i, f in enumerate(k)]] for k in kernels)
+    left, right = ([[(i, _label(f), _ints(f.terms)) for i, f in enumerate(k)]] for k in kernels)
     span = Echelon()
     visited = []  # (left_label, right_label, left, right, degree, scale)
     for total in range(2, 2 * degree + 1):
         for dl in range(max(1, total - degree), min(degree, total - 1) + 1):
-            for _, llabel, pleft in _level(ring, left, dl):
-                for _, rlabel, pright in _level(ring, right, total - dl):
-                    vec, scale = _numerators(ring._product(pleft.terms, pright.terms))
-                    visited.append((llabel, rlabel, pleft, pright, total, scale or 1))
+            for _, llabel, tleft in _level(ring, left, dl):
+                for _, rlabel, tright in _level(ring, right, total - dl):
+                    vec, scale = _numerators(ring._product(tleft, tright))
+                    visited.append((llabel, rlabel, tleft, tright, total, scale or 1))
                     pivot = span.insert(vec)
                     # 1 is in the span once the smallest monomial, 1, is a pivot
                     if pivot is not None and not any(pivot):
                         row, combo = span.rows[pivot]
                         terms = tuple(
                             WitnessTerm(Fraction(combo[i] * sc, row[pivot]), ll, rl,
-                                        MultiPoly(lp.gens, lp.terms),
-                                        MultiPoly(rp.gens, rp.terms), t)
-                            for i, (ll, rl, lp, rp, t, sc) in enumerate(visited) if i in combo)
+                                        MultiPoly(ring.gens, lt), MultiPoly(ring.gens, rt), t)
+                            for i, (ll, rl, lt, rt, t, sc) in enumerate(visited) if i in combo)
                         return WitnessReport(degree, terms, found_degree=total)
     return WitnessReport(degree)

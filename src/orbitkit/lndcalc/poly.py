@@ -29,8 +29,8 @@ them `substitute`), `QuotientRing.normal_form`, `apply_derivation` and
 Fractions, int-coefficient operands ints.  `_mul` is the free product,
 for `*`, `**` and the relation's powers; the kernel-product witness
 search multiplies with `QuotientRing._product`, which reduces each term
-as it is made.  The search stores integral kernel coefficients as ints
-(`_ints`), and its report holds Fraction-coefficient polynomials again.
+as it is made.  It keeps term maps, with integral coefficients as ints
+(`_ints`), and builds polynomials, over Fractions, only for its report.
 
 Polynomial text (`parse_poly`, and `poly_to_text`'s output) is terms
 joined by `+`/`-`, each term factors joined by `*`, each factor a
@@ -80,8 +80,8 @@ class MultiPoly:
         """Unchecked constructor.  `terms` must be a dict the caller has
         just built, never another polynomial's `terms`, with nonnegative
         exponent vectors of length len(gens) and nonzero Fraction values,
-        or nonzero int values where an int-coefficient input computed them
-        (see `_numerators` and `_ints`)."""
+        or nonzero int values only where an int-coefficient input computed
+        them (see `_numerators`); no public constructor makes one."""
         self = object.__new__(cls)
         self.gens = gens
         self.terms = terms
@@ -169,13 +169,16 @@ class MultiPoly:
         return MultiPoly._of(self.gens, _over(result, d))
 
     def substitute(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Replace each named generator by its image; generators not named
-        map to themselves, and naming an unknown one raises ValueError.  The
-        images share one generator context, which the result is over.  A
-        term of k factors costs k - 1 products."""
+        """Replace each named generator by its image, a MultiPoly (TypeError
+        otherwise); generators not named map to themselves, and an unknown
+        name raises ValueError.  The images share one generator context,
+        which the result is over.  A term of k factors costs k - 1 products."""
         unknown = [name for name in images if name not in self.gens]
         if unknown:
             raise ValueError(f"images given for unknown generators {unknown}")
+        for value in images.values():
+            if not isinstance(value, MultiPoly):
+                raise TypeError(f"image {value!r} is not a MultiPoly")
         cache = {name: images[name] if name in images else MultiPoly.generator(self.gens, name)
                  for name in self.gens}
         gens = cache[self.gens[0]].gens if self.gens else self.gens

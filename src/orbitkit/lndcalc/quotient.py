@@ -54,8 +54,7 @@ class QuotientRing:
         self.lead: Monomial | None = None
         if relation is None:
             return
-        if relation.gens != self.gens:
-            raise ValueError(f"relation over {relation.gens}, ring over {self.gens}")
+        self._own(relation, "relation")
         self.lead = max(relation.terms, default=(0,) * len(self.gens))
         if not any(self.lead):
             raise RelationError(f"relation {relation} is zero or constant")
@@ -94,10 +93,16 @@ class QuotientRing:
     def normal_form(self, f: MultiPoly) -> MultiPoly:
         """Exhaustively rewrite until no monomial is divisible by the
         lead.  Idempotent; f minus the result lies in the relation ideal."""
-        if f.gens != self.gens:
-            raise ValueError(f"polynomial over {f.gens}, ring over {self.gens}")
-        numerators, denominator = _numerators(f.terms)
+        numerators, denominator = _numerators(self._own(f).terms)
         return MultiPoly._of(self.gens, _over(self._reduce(numerators.items()), denominator))
+
+    def _own(self, f: MultiPoly, what: str = "polynomial") -> MultiPoly:
+        """f, once checked to be a MultiPoly over the ring's generators; errors call it `what`."""
+        if not isinstance(f, MultiPoly):
+            raise TypeError(f"{what} {f!r} is not a MultiPoly")
+        if f.gens != self.gens:
+            raise ValueError(f"{what} over {f.gens}, ring over {self.gens}")
+        return f
 
     def _product(self, t1: dict, t2: dict) -> dict:
         """The normal form of the product of two term maps, as a new map."""

@@ -19,8 +19,8 @@ state once the facts it checks.
 from functools import lru_cache
 
 from .derivations import (Derivation, KernelMembershipError, NotNilpotentError,
-                          _witness_search, degrees_compatible, delta_degree, make_derivation,
-                          preserves_relations)
+                          degrees_compatible, delta_degree, make_derivation,
+                          preserves_relations, verify_semicompatibility_witness)
 from .poly import MultiPoly, parse_poly
 from .quotient import QuotientRing
 
@@ -124,13 +124,10 @@ def sl2_checks(cap: int) -> list[tuple[str, dict, dict, bool]]:
     memberships |= {f"{g} not in ker {label}": degrees[f"deg_{label}({g})"] != 0
                     for label, g in zip(derivations, (kernel2[0], kernel1[0]))}
     witness_inputs = {"kernel1": list(kernel1), "kernel2": list(kernel2), "degree_cap": 3}
-    # the search reads the memberships above rather than applying d1 and
-    # d2 again, so a wrong stated kernel fails this record as well
     try:
-        witness = _witness_search(
-            ring, *([ring.generator(g) for g in k] for k in _KERNELS),
-            witness_inputs["degree_cap"],
-            lambda side, f: memberships[f"{f} in ker d{side + 1}"])
+        witness = verify_semicompatibility_witness(
+            ring, *derivations.values(), *([ring.generator(g) for g in k] for k in _KERNELS),
+            witness_inputs["degree_cap"])
     except KernelMembershipError as exc:
         witness_check = {"equation": str(exc)}, False
     else:

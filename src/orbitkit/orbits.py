@@ -104,8 +104,8 @@ def classify_nilpotent_orbits_typeA(n: int) -> list[Partition]:
     if n > CLASSIFY_RANK_CAP:
         raise CapacityError(
             f"rank {n} exceeds the classification cap {CLASSIFY_RANK_CAP}")
+    expected = nilpotent_orbit_count(LieType("A", n)).count  # refuses bool and float ranks first
     parts = enumerate_partitions(n + 1)
-    expected = nilpotent_orbit_count(LieType("A", n)).count
     if len(parts) != expected:
         raise RootSystemConsistencyError(
             f"classify A{n}: enumerated {len(parts)} Jordan types, but the"

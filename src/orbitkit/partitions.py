@@ -172,6 +172,7 @@ def enumerate_partitions(n: int,
     n = 0 yields the single empty partition under every constraint, and
     n above 255 is refused up front (p(256) is about 3.7e14).
     """
+    n = operator.index(n)  # refuses floats and strings, as parts are
     if n < 0:
         raise ValueError(f"cannot partition a negative total: {n}")
     if n > 255:
@@ -224,6 +225,7 @@ def count_partitions(n: int,
     totals up to N costs O(N^2) in all; Python integers keep every
     count exact at any size.
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"cannot partition a negative total: {n}")
     return _counts(n, constraint)[n]

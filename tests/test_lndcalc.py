@@ -124,6 +124,11 @@ class TestQuotientRing:
         for gens, relation, *_ in WITNESS_CASES_OTHER:
             assert QuotientRing(gens, parse_poly(relation, gens))._one_pass
 
+    def test_relation_that_is_not_a_polynomial_rejected(self):
+        # raised "'str' object has no attribute 'gens'"
+        with pytest.raises(TypeError, match="relation 'x' is not a MultiPoly"):
+            QuotientRing(("x",), "x")
+
     def test_zero_or_constant_relation_rejected(self):
         gens = ("x", "y")
         for relation in (MultiPoly.zero(gens), MultiPoly.constant(gens, 3)):
@@ -267,6 +272,23 @@ class TestDerivations:
         d = make_derivation(free, **{name: "y"})
         assert {g: str(image) for g, image in d.images.items()} == {name: "y", "y": "0"}
 
+    def test_direct_construction_refuses_images_that_are_not_polynomials(self, ring):
+        # a text image raised "'str' object has no attribute 'gens'"
+        with pytest.raises(TypeError, match="image 'a1' of 'a1' is not a MultiPoly"):
+            Derivation(ring.gens, {g: "a1" for g in ring.gens})
+
+    @pytest.mark.parametrize("entry", ["normal_form", "apply_derivation", "delta_degree",
+                                       "witness"])
+    def test_elements_that_are_not_polynomials_refused(self, ring, derivations, entry):
+        # each raised "'str' object has no attribute 'gens'"
+        d1, d2 = derivations
+        call = {"normal_form": lambda: ring.normal_form("a1"),
+                "apply_derivation": lambda: apply_derivation(ring, d1, "a1"),
+                "delta_degree": lambda: delta_degree(ring, d1, "a1"),
+                "witness": lambda: verify_semicompatibility_witness(ring, d1, d2, ["a1"], ["b1"])}
+        with pytest.raises(TypeError, match="'a1' is not a MultiPoly"):
+            call[entry]()
+
     def test_derivation_of_another_ring_rejected(self, ring):
         free = QuotientRing(("x", "y"))
         d = make_derivation(free, x="y")
@@ -348,6 +370,23 @@ class TestDeltaDegree:
         d1, _ = derivations
         with pytest.raises(ValueError):
             delta_degree(ring, d1, ring.parse("a1*b2 - a2*b1 - 1"))
+
+    def test_images_are_read_once_per_derivation(self, ring, derivations, monkeypatch):
+        # each Leibniz step used to rebuild the derivation's image table,
+        # one `_ints` call per generator image
+        d1, _ = derivations
+        f = ring.element("b1^4")
+        calls = 0
+        ints = lndcalc.derivations._ints
+
+        def counting(terms):
+            nonlocal calls
+            calls += 1
+            return ints(terms)
+
+        monkeypatch.setattr(lndcalc.derivations, "_ints", counting)
+        assert delta_degree(ring, d1, f) == 4
+        assert calls == 0
 
     def test_cap_exceeded(self):
         free = QuotientRing(("x",))
@@ -475,12 +514,18 @@ class TestWitnessSearch:
         assert report.equation() == equation
         assert not any(bad in equation for bad in ("--", "+ -", "*-"))
 
-    def test_integral_kernels_multiply_ints(self, ring, derivations, monkeypatch):
-        # kernels built the way perfbench's worker builds them: integer
-        # values held as Fractions; the search multiplies int coefficients
+    @staticmethod
+    def integral_kernels(ring):
+        """Kernels built the way perfbench's worker builds them: integer
+        values held as Fractions."""
         k1 = [MultiPoly(ring.gens, {(1, 0, 0, 0): Fraction(2), (0, 1, 0, 0): Fraction(-3)})]
         k2 = [MultiPoly(ring.gens, {(0, 0, 1, 0): Fraction(1), (0, 0, 0, 1): Fraction(2)}),
               MultiPoly(ring.gens, {(0, 0, 1, 0): Fraction(-3), (0, 0, 0, 1): Fraction(1)})]
+        return k1, k2
+
+    def test_integral_kernels_multiply_ints(self, ring, derivations, monkeypatch):
+        # the search multiplies int coefficients
+        k1, k2 = self.integral_kernels(ring)
         types = set()
         product = QuotientRing._product
 
@@ -493,6 +538,22 @@ class TestWitnessSearch:
         report = verify_semicompatibility_witness(ring, *derivations, k1, k2, 4)
         assert not report.found
         assert types == {int}
+
+    def test_search_builds_fraction_polynomials_only(self, ring, derivations, monkeypatch):
+        # levels and products stay term maps, so the trusted constructor
+        # never receives the search's int values
+        k1, k2 = self.integral_kernels(ring)
+        types = set()
+        of = MultiPoly._of.__func__
+
+        def spy(cls, gens, terms):
+            types.update(map(type, terms.values()))
+            return of(cls, gens, terms)
+
+        monkeypatch.setattr(MultiPoly, "_of", classmethod(spy))
+        report = verify_semicompatibility_witness(ring, *derivations, k1, k2, 4)
+        assert not report.found
+        assert types == {Fraction}
 
     def test_int_inputs_reduce_and_differentiate_to_ints(self, ring, derivations):
         # the coefficient type that comes in is the type that comes out:
@@ -705,10 +766,9 @@ def test_sl2_checks_reuse_the_relation_check(monkeypatch):
 
 def test_sl2_checks_apply_each_derivation_once_per_degree_step(monkeypatch):
     # a cold suite: 2 relation checks, 12 steps for the generator degrees
-    # (1 per kernel generator, 2 per other generator) and 4 for a1*b2; the
-    # witness search reads the certified memberships instead of applying
-    # d1 and d2 to the kernel generators again (22 calls before); each step
-    # of delta_degree, and each apply_derivation, is one Leibniz pass
+    # (1 per kernel generator, 2 per other generator), 4 for a1*b2 and 4
+    # kernel checks by the witness search, one per kernel generator; each
+    # step of delta_degree, and each apply_derivation, is one Leibniz pass
     calls = 0
     original = lndcalc.derivations._derive
 
@@ -724,7 +784,7 @@ def test_sl2_checks_apply_each_derivation_once_per_degree_step(monkeypatch):
     finally:
         monkeypatch.undo()
         sl2_standard_derivations.cache_clear()
-    assert calls == 18
+    assert calls == 22
     assert records[3][2:] == ({"equation": "1 = a1*b2 - a2*b1", "found_degree": 2}, True)
 
 

@@ -21,7 +21,7 @@ from orbitkit.partitions import (
     is_orthogonal_partition,
     is_symplectic_partition,
 )
-from orbitkit.rootsys import LieType, RootSystemConsistencyError
+from orbitkit.rootsys import InvalidLieTypeError, LieType, RootSystemConsistencyError
 from perfbench.oracles import PartitionCounts
 
 T = LieType.from_string
@@ -124,6 +124,17 @@ class TestTypeAClassification:
             classify_nilpotent_orbits_typeA(41)
         with pytest.raises(ValueError):
             classify_nilpotent_orbits_typeA(0)
+
+    @pytest.mark.parametrize("rank", [2.0, True], ids=repr)
+    def test_non_integer_rank_refused_before_enumerating(self, rank, monkeypatch):
+        # 2.0 raised "can't multiply sequence by non-int of type 'float'"
+        # from the partition walk
+        def forbidden(n):
+            raise AssertionError("partitions enumerated")
+
+        monkeypatch.setattr(orbits, "enumerate_partitions", forbidden)
+        with pytest.raises(InvalidLieTypeError, match="rank must be a positive integer"):
+            classify_nilpotent_orbits_typeA(rank)
 
 
 def fraction_rank(matrix):

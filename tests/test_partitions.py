@@ -225,6 +225,18 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_partitions(-1)
 
+    @pytest.mark.parametrize("total", [2.5, 2.0, "3", None], ids=repr)
+    def test_refuses_non_integer_totals(self, total):
+        # 2.5 raised "can't multiply sequence by non-int of type 'float'"
+        # from the walk, and "3" an unrelated comparison error
+        for function in (enumerate_partitions, count_partitions):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                function(total)
+
+    def test_accepts_integer_like_totals(self):
+        assert enumerate_partitions(True) == enumerate_partitions(1)
+        assert count_partitions(True) == 1
+
     @pytest.mark.parametrize("c", list(PartitionConstraint), ids=lambda c: c.value)
     def test_refuses_totals_past_255(self, c):
         # refused up front, naming the p(256) partitions the walk would cover

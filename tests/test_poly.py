@@ -144,6 +144,12 @@ class TestArithmetic:
         with pytest.raises(ValueError, match=r"unknown generators \['w', 'x'\]"):
             p.substitute({"u": u, "w": u, "x": u})
 
+    @pytest.mark.parametrize("image", [2, Fraction(1, 2), "a1", None], ids=repr)
+    def test_substitute_refuses_images_that_are_not_polynomials(self, image):
+        # these raised "... object has no attribute 'gens'"
+        with pytest.raises(TypeError, match=f"image {re.escape(repr(image))} is not a MultiPoly"):
+            gen("a2").substitute({"a1": image})
+
     def test_repr_names_generators_and_text(self):
         assert repr(gen("a1") - 2) == "MultiPoly(('a1', 'a2', 'b1', 'b2'), 'a1 - 2')"
 
