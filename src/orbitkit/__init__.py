@@ -7,3 +7,9 @@ verification suite.
 """
 
 __version__ = "0.1.0"
+
+
+class RootSystemConsistencyError(RuntimeError):
+    """A tabulated value disagrees with its recomputation, or a check that
+    must always hold failed; indicates a bug, not bad input.  embedcheck
+    exports the same class as InconsistencyError."""

@@ -41,10 +41,9 @@ class NotNilpotentError(RuntimeError):
     """Iterated application did not reach zero within the cap; the input
     may not be locally nilpotent, or the cap is too small."""
 
-    def __init__(self, cap: int, message: str | None = None):
+    def __init__(self, cap: int):
         self.cap = cap
-        super().__init__(message or
-                         f"derivation did not annihilate the element within {cap + 1}"
+        super().__init__(f"derivation did not annihilate the element within {cap + 1}"
                          f" applications (degree above the cap {cap})")
 
 
@@ -96,8 +95,7 @@ def make_derivation(ring: QuotientRing, /,
 
 
 def apply_derivation(ring: QuotientRing, d: Derivation, f: MultiPoly) -> MultiPoly:
-    """Extend the generator images by the Leibniz rule and reduce, on f's
-    integer numerators: an int-coefficient f gives ints, a Fraction one Fractions."""
+    """Extend the generator images by the Leibniz rule and reduce."""
     numerators, denominator = _numerators(ring._own(f).terms)
     return MultiPoly._of(ring.gens, _over(_derive(ring, d, numerators), denominator))
 
@@ -117,12 +115,13 @@ def delta_degree(ring: QuotientRing, d: Derivation, f: MultiPoly,
                  cap: int = DEFAULT_DEGREE_CAP) -> int:
     """Largest n with d^n(f) nonzero in the ring; kernel elements have
     degree 0.  Certifies a degree of at most `cap`: raises
-    NotNilpotentError once d^(cap+1)(f) is still nonzero.  d is linear,
-    so the chain runs on the integer numerators of f's normal form.  A
-    cap that is not a nonnegative int (a bool included) raises ValueError."""
+    NotNilpotentError once d^(cap+1)(f) is still nonzero.  Reduction and
+    d are linear and the chain only tests for zero, so it runs on f's
+    integer numerators, scaled once and reduced as they are.  A cap that
+    is not a nonnegative int (a bool included) raises ValueError."""
     if type(cap) is not int or cap < 0:
         raise ValueError(f"cap must be a nonnegative int, got {cap!r}")
-    terms, _ = _numerators(ring.normal_form(f).terms)
+    terms = ring._reduce(_numerators(ring._own(f).terms)[0].items())
     if not terms:
         raise ValueError("delta-degree is defined for nonzero elements only")
     steps = 0
@@ -251,7 +250,7 @@ def verify_semicompatibility_witness(ring: QuotientRing,
             for _, llabel, tleft in _level(ring, left, dl):
                 for _, rlabel, tright in _level(ring, right, total - dl):
                     vec, scale = _numerators(ring._product(tleft, tright))
-                    visited.append((llabel, rlabel, tleft, tright, total, scale or 1))
+                    visited.append((llabel, rlabel, tleft, tright, total, scale))
                     pivot = span.insert(vec)
                     # 1 is in the span once the smallest monomial, 1, is a pivot
                     if pivot is not None and not any(pivot):

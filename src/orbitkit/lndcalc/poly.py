@@ -22,15 +22,15 @@ that divides the monomial), `_over` divides into Fractions, and
 `_add_term` (stated once, in `orbitkit.echelon`) drops every sum that
 cancels.
 
-Int coefficients live inside the package only.  `*`, `**` (and through
-them `substitute`), `QuotientRing.normal_form`, `apply_derivation` and
-`delta_degree` work on integer numerators over a common denominator
-(`_numerators`, undone once by `_over`): any Fraction operand gives
-Fractions, int-coefficient operands ints.  `_mul` is the free product,
-for `*`, `**` and the relation's powers; the kernel-product witness
-search multiplies with `QuotientRing._product`, which reduces each term
-as it is made.  It keeps term maps, with integral coefficients as ints
-(`_ints`), and builds polynomials, over Fractions, only for its report.
+The coefficient rule: polynomials hold Fractions.  Private term maps
+hold ints where integral (`_ints`: the relation's powers, the Leibniz
+tables and the witness search's kernel products), or integer numerators
+over one denominator (`_numerators`, undone once by `_over`), which is
+how `*`, `**` (and through them `substitute`), `normal_form`,
+`apply_derivation` and `delta_degree` compute.  `_mul` is the free
+product, for `*`, `**` and the relation's powers; the witness search
+multiplies with `QuotientRing._product`, which reduces each term as it
+is made.
 
 Polynomial text (`parse_poly`, and `poly_to_text`'s output) is terms
 joined by `+`/`-`, each term factors joined by `*`, each factor a
@@ -79,9 +79,7 @@ class MultiPoly:
     def _of(cls, gens: tuple[str, ...], terms: dict[Monomial, Fraction]) -> "MultiPoly":
         """Unchecked constructor.  `terms` must be a dict the caller has
         just built, never another polynomial's `terms`, with nonnegative
-        exponent vectors of length len(gens) and nonzero Fraction values,
-        or nonzero int values only where an int-coefficient input computed
-        them (see `_numerators`); no public constructor makes one."""
+        exponent vectors of length len(gens) and nonzero Fraction values."""
         self = object.__new__(cls)
         self.gens = gens
         self.terms = terms
@@ -146,8 +144,7 @@ class MultiPoly:
     def __mul__(self, other):
         other = self._operand(other)
         (t1, d1), (t2, d2) = _numerators(self.terms), _numerators(other.terms)
-        d = d1 if d2 is None else d2 if d1 is None else d1 * d2
-        return MultiPoly._of(self.gens, _over(_mul(t1, t2), d))
+        return MultiPoly._of(self.gens, _over(_mul(t1, t2), d1 * d2))
 
     __rmul__ = __mul__
 
@@ -159,7 +156,7 @@ class MultiPoly:
         if not n:
             return MultiPoly.constant(self.gens, 1)
         base, d = _numerators(self.terms)
-        d, result = None if d is None else d ** n, None
+        d, result = d ** n, None
         while n:
             if n & 1:
                 result = base if result is None else _mul(result, base)
@@ -225,18 +222,18 @@ def _ints(terms: Mapping[Monomial, Scalar]) -> dict[Monomial, Scalar]:
     return {m: c.numerator if c.denominator == 1 else c for m, c in terms.items()}
 
 
-def _numerators(terms: Mapping[Monomial, Scalar]) -> tuple[dict[Monomial, Scalar], int | None]:
+def _numerators(terms: Mapping[Monomial, Scalar]) -> tuple[dict[Monomial, int], int]:
     """(terms * d, d) for the least common denominator d, as a new map of
-    ints; d is None, and the map a copy, when every coefficient is an int."""
+    ints; an all-int map is copied, with d = 1."""
     if all(type(c) is int for c in terms.values()):
-        return dict(terms), None
+        return dict(terms), 1
     d = math.lcm(*(c.denominator for c in terms.values()))
     return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}, d
 
 
-def _over(terms: dict[Monomial, Scalar], d: int | None) -> dict[Monomial, Scalar]:
-    """Undo `_numerators`: terms / d as Fractions, or terms if d is None."""
-    return terms if d is None else {m: Fraction(c, d) for m, c in terms.items()}
+def _over(terms: Mapping[Monomial, int], d: int) -> dict[Monomial, Fraction]:
+    """Undo `_numerators`: terms / d as a new map of Fractions."""
+    return {m: Fraction(c, d) for m, c in terms.items()}
 
 
 def _signed_sum(pairs: Iterable[tuple[Fraction, str]]) -> str:

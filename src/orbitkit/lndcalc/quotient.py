@@ -4,10 +4,7 @@ The relation's lead is its lexicographically largest monomial, and
 reduction rewrites the lead as R = lead - relation / (lead coefficient),
 whose every monomial lies below the lead: a monomial m with lead^k the
 largest power of the lead dividing it becomes (m / lead^k) * R^k in one
-step.  R's coefficients go through `poly._ints`, so with a monic integer
-relation (such as the SL2 determinant) int-coefficient polynomials
-reduce to int-coefficient polynomials; Fraction inputs are reduced on
-their integer numerators and still give Fractions.
+step.  Coefficient types follow the rule stated in `poly`.
 
 Terms are reduced as they arrive: `_reduce` takes (monomial,
 coefficient) pairs, so products (`_product`) and Leibniz passes are

@@ -9,8 +9,8 @@ triangular unipotent subgroups are
     d1 = a1 d/db1 + a2 d/db2        d2 = b1 d/da1 + b2 d/da2
 
 and the diagonal torus acting by right multiplication scales the first
-column by t^-1 and the second by t, giving the generator weights used
-for the invariant-ring checks.
+column by t^-1 and the second by t; its invariants are generated by
+u, v and z, the subject of the invariant-ring checks.
 
 `sl2_checks` is the suite `lnd verify` prints; the constants below
 state once the facts it checks.
@@ -18,20 +18,18 @@ state once the facts it checks.
 
 from functools import lru_cache
 
+from .. import RootSystemConsistencyError
 from .derivations import (Derivation, KernelMembershipError, NotNilpotentError,
                           degrees_compatible, delta_degree, make_derivation,
                           preserves_relations, verify_semicompatibility_witness)
 from .poly import MultiPoly, parse_poly
 from .quotient import QuotientRing
 
-__all__ = ["SL2_GENERATORS", "DIAGONAL_TORUS_WEIGHTS", "sl2_coordinate_ring",
-           "sl2_standard_derivations", "sl2_invariant_generators", "diagonal_torus_weight",
-           "hypersurface_identity_holds", "sign_flip_fixes_hypersurface",
-           "verify_invariant_hypersurface", "sl2_checks"]
+__all__ = ["SL2_GENERATORS", "sl2_coordinate_ring", "sl2_standard_derivations",
+           "sl2_invariant_generators", "hypersurface_identity_holds",
+           "sign_flip_fixes_hypersurface", "verify_invariant_hypersurface", "sl2_checks"]
 
 SL2_GENERATORS = ("a1", "a2", "b1", "b2")
-
-DIAGONAL_TORUS_WEIGHTS = {"a1": -1, "a2": 1, "b1": -1, "b2": 1}
 
 _KERNELS = (("a1", "a2"), ("b1", "b2"))  # generators of ker d1 and of ker d2
 _ELEMENT = "a1*b2"  # degree 1 under both d1 and d2
@@ -54,9 +52,6 @@ def sl2_standard_derivations() -> tuple[Derivation, Derivation]:
     d2 = make_derivation(ring, a1="b1", a2="b2")
     for name, d in (("d1", d1), ("d2", d2)):
         if not preserves_relations(ring, d):
-            # imported here, not at the top: only this path needs the
-            # root-system module, and loading it slows every lndcalc start-up
-            from ..rootsys import RootSystemConsistencyError
             raise RootSystemConsistencyError(f"{name} does not preserve the determinant relation")
     return d1, d2
 
@@ -65,20 +60,6 @@ def sl2_invariant_generators() -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     """Generators u, v, z of the ring of invariants of the diagonal torus action."""
     ring = sl2_coordinate_ring()
     return tuple(ring.element(text) for text in _INVARIANTS.values())
-
-
-def diagonal_torus_weight(f: MultiPoly) -> int | None:
-    """Common torus weight of all monomials of f, or None when f is not
-    homogeneous.  The zero polynomial is homogeneous of weight 0."""
-    if set(f.gens) - set(SL2_GENERATORS):
-        raise ValueError(f"expected a polynomial over {SL2_GENERATORS}, got {f.gens}")
-    weights = [DIAGONAL_TORUS_WEIGHTS[g] for g in f.gens]
-    seen = {sum(e * w for e, w in zip(mono, weights)) for mono in f.terms}
-    if not seen:
-        return 0
-    if len(seen) > 1:
-        return None
-    return seen.pop()
 
 
 def hypersurface_identity_holds() -> bool:

@@ -99,12 +99,11 @@ def nilpotent_orbit_count(t: LieType) -> OrbitCount:
 def classify_nilpotent_orbits_typeA(n: int) -> list[Partition]:
     """Jordan types of the nilpotent orbits of sl_{n+1}: all partitions
     of n+1 in canonical order."""
-    if n < 1:
-        raise ValueError(f"type A rank must be >= 1, got {n}")
+    t = LieType("A", n)  # refuses every rank that is not a positive int first
     if n > CLASSIFY_RANK_CAP:
         raise CapacityError(
             f"rank {n} exceeds the classification cap {CLASSIFY_RANK_CAP}")
-    expected = nilpotent_orbit_count(LieType("A", n)).count  # refuses bool and float ranks first
+    expected = nilpotent_orbit_count(t).count
     parts = enumerate_partitions(n + 1)
     if len(parts) != expected:
         raise RootSystemConsistencyError(

@@ -23,6 +23,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+from . import RootSystemConsistencyError
 from .echelon import rank
 
 __all__ = [
@@ -42,12 +43,6 @@ _EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 
 class InvalidLieTypeError(ValueError):
     """Raised when a family/rank combination violates the type constraints."""
-
-
-class RootSystemConsistencyError(RuntimeError):
-    """A tabulated value disagrees with its recomputation, or a check that
-    must always hold failed; indicates a bug, not bad input.  embedcheck
-    exports the same class as InconsistencyError."""
 
 
 @dataclass(frozen=True)
@@ -103,10 +98,6 @@ class RootSystem:
     positive_roots: tuple[Vector, ...]
     heights: Mapping[Vector, int]
     cartan_matrix: tuple[tuple[int, ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        return 2 * len(self.positive_roots) + self.lie_type.rank
 
     def height(self, root: Sequence[int]) -> int:
         key = tuple(root)

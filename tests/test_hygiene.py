@@ -78,6 +78,22 @@ def test_echelon_is_a_leaf_module():
     assert _orbitkit_imports((SRC / "echelon.py").read_text()) == []
 
 
+def _lndcalc_may_import(name: str) -> bool:
+    """A sibling, the lndcalc package, `echelon` or the package root."""
+    if name.startswith("."):
+        return name in ("..", "..echelon") or not name.startswith("..")
+    return name in ("orbitkit", "orbitkit.echelon") or name.startswith("orbitkit.lndcalc")
+
+
+def test_lndcalc_imports_no_other_orbitkit_module():
+    # the derivation calculus stays apart from the Lie-theory modules; its
+    # one shared error class lives in the package root
+    for path in sorted((SRC / "lndcalc").glob("*.py")):
+        imports = _orbitkit_imports(path.read_text())
+        assert imports and [(line, name) for line, name in imports
+                            if not _lndcalc_may_import(name)] == [], path.name
+
+
 def test_import_detector_flags_each_form():
     source = "\n".join([
         "import orbitkit",

@@ -17,7 +17,6 @@ from orbitkit.lndcalc import (
     apply_derivation,
     degrees_compatible,
     delta_degree,
-    diagonal_torus_weight,
     hypersurface_identity_holds,
     is_in_kernel,
     make_derivation,
@@ -54,8 +53,7 @@ def random_reduced(ring, rng, max_terms=4, max_exp=2, coef=3):
 
 def random_raw(ring, rng, rational, max_degree=12, max_terms=8):
     """An unreduced polynomial with monomials of degree at most max_degree
-    and nonzero int coefficients, or Fraction ones when rational; the int
-    case is built the way the package builds its int-coefficient results."""
+    and nonzero integral coefficients, or rational ones when rational."""
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         mono = [0] * len(ring.gens)
@@ -63,7 +61,7 @@ def random_raw(ring, rng, rational, max_degree=12, max_terms=8):
             mono[rng.randrange(len(mono))] += 1
         c = rng.choice((-1, 1)) * rng.randint(1, 9)
         terms[tuple(mono)] = Fraction(c, rng.randint(1, 6)) if rational else c
-    return MultiPoly(ring.gens, terms) if rational else MultiPoly._of(ring.gens, terms)
+    return MultiPoly(ring.gens, terms)
 
 
 class TestQuotientRing:
@@ -388,6 +386,21 @@ class TestDeltaDegree:
         assert delta_degree(ring, d1, f) == 4
         assert calls == 0
 
+    def test_no_polynomial_is_built(self, ring, derivations, monkeypatch):
+        # the chain reduces f's integer numerators directly, so it builds
+        # no polynomial, not even f's normal form
+        built = []
+        of = MultiPoly._of.__func__
+
+        def spy(cls, *args):
+            built.append(args)
+            return of(cls, *args)
+
+        f = ring.parse("a1^2*b1*b2 - 1/3*a1*b1^2 + 1/2*a2")
+        monkeypatch.setattr(MultiPoly, "_of", classmethod(spy))
+        assert [delta_degree(ring, d, f) for d in derivations] == [2, 2]
+        assert built == []
+
     def test_cap_exceeded(self):
         free = QuotientRing(("x",))
         euler = make_derivation(free, x="x")  # x -> x is not locally nilpotent
@@ -555,21 +568,20 @@ class TestWitnessSearch:
         assert not report.found
         assert types == {Fraction}
 
-    def test_int_inputs_reduce_and_differentiate_to_ints(self, ring, derivations):
-        # the coefficient type that comes in is the type that comes out:
-        # int-coefficient polynomials (built inside the package) stay int,
-        # Fraction ones stay Fraction, integral values included
+    def test_integral_inputs_reduce_and_differentiate_to_fractions(self, ring, derivations):
+        # results hold Fractions whatever the input's values: an int-valued
+        # map (no constructor makes one), integral Fractions or rational ones
         terms = {(2, 0, 1, 2): 3, (1, 1, 0, 1): -2, (0, 0, 0, 0): 5}
         ints = MultiPoly._of(ring.gens, dict(terms))
-        cases = [(ints, int), (MultiPoly(ring.gens, terms), Fraction),
-                 (MultiPoly(ring.gens, {m: Fraction(2) for m in terms}), Fraction),
-                 (MultiPoly(ring.gens, {m: Fraction(c, 3) for m, c in terms.items()}), Fraction)]
-        for f, kind in cases:
+        cases = [ints, MultiPoly(ring.gens, terms),
+                 MultiPoly(ring.gens, {m: Fraction(2) for m in terms}),
+                 MultiPoly(ring.gens, {m: Fraction(c, 3) for m, c in terms.items()})]
+        for f in cases:
             results = [ring.normal_form(f)] + [apply_derivation(ring, d, f) for d in derivations]
             for p in results:
-                assert p.terms and {type(c) for c in p.terms.values()} == {kind}
-        assert ring.normal_form(ints) == ring.normal_form(cases[1][0])
-        assert all(apply_derivation(ring, d, ints) == apply_derivation(ring, d, cases[1][0])
+                assert p.terms and {type(c) for c in p.terms.values()} == {Fraction}
+        assert ring.normal_form(ints) == ring.normal_form(cases[1])
+        assert all(apply_derivation(ring, d, ints) == apply_derivation(ring, d, cases[1])
                    for d in derivations)
 
     def test_report_digest(self, ring, derivations):
@@ -677,26 +689,24 @@ class TestCompatibility:
         assert degrees_compatible(deg1, deg2) is holds
 
 
+# right multiplication by diag(1/t, t) scales the first column of SL2 by
+# 1/t and the second by t
+TORUS_WEIGHTS = {"a1": -1, "a2": 1, "b1": -1, "b2": 1}
+
+
+def torus_weight(f):
+    """The common torus weight of f's monomials, or None when they differ."""
+    weights = [TORUS_WEIGHTS[g] for g in f.gens]
+    seen = {sum(e * w for e, w in zip(mono, weights)) for mono in f.terms}
+    return seen.pop() if len(seen) == 1 else None
+
+
 class TestTorusAction:
     def test_invariant_generators_have_weight_zero(self, ring):
         u, v, z = sl2_invariant_generators()
-        assert diagonal_torus_weight(u) == 0
-        assert diagonal_torus_weight(v) == 0
-        assert diagonal_torus_weight(z) == 0
-
-    def test_single_generators(self, ring):
-        assert diagonal_torus_weight(ring.generator("a1")) == -1
-        assert diagonal_torus_weight(ring.generator("b2")) == 1
-
-    def test_non_homogeneous_flagged(self, ring):
-        assert diagonal_torus_weight(ring.element("a1 + a2")) is None
-
-    def test_zero_has_weight_zero(self, ring):
-        assert diagonal_torus_weight(ring.zero()) == 0
-
-    def test_foreign_generators_rejected(self):
-        with pytest.raises(ValueError, match="expected a polynomial over"):
-            diagonal_torus_weight(MultiPoly.generator(("a1", "c1"), "a1"))
+        assert torus_weight(u) == 0
+        assert torus_weight(v) == 0
+        assert torus_weight(z) == 0
 
     def test_weights_add_under_product(self, ring):
         # the determinant relation has weight 0, so reduction preserves
@@ -706,11 +716,11 @@ class TestTorusAction:
                  for _ in range(60)]
         checked = 0
         for f, g in zip(monos[::2], monos[1::2]):
-            wf, wg = diagonal_torus_weight(f), diagonal_torus_weight(g)
+            wf, wg = torus_weight(f), torus_weight(g)
             prod = ring.normal_form(f * g)
             if prod.is_zero():
                 continue
-            w = diagonal_torus_weight(prod)
+            w = torus_weight(prod)
             assert w is not None and w == wf + wg
             checked += 1
         assert checked >= 25
@@ -790,10 +800,10 @@ def test_sl2_checks_apply_each_derivation_once_per_degree_step(monkeypatch):
 
 def test_export_list():
     assert sorted(lndcalc.__all__) == [
-        "DEFAULT_DEGREE_CAP", "DIAGONAL_TORUS_WEIGHTS", "Derivation", "KernelMembershipError",
+        "DEFAULT_DEGREE_CAP", "Derivation", "KernelMembershipError",
         "MultiPoly", "NotNilpotentError", "PolyParseError", "QuotientRing", "RelationError",
         "SL2_GENERATORS", "WitnessReport", "WitnessTerm", "apply_derivation",
-        "degrees_compatible", "delta_degree", "diagonal_torus_weight",
+        "degrees_compatible", "delta_degree",
         "hypersurface_identity_holds", "is_in_kernel", "make_derivation", "parse_poly",
         "poly_to_text", "preserves_relations", "sign_flip_fixes_hypersurface", "sl2_checks",
         "sl2_coordinate_ring", "sl2_invariant_generators", "sl2_standard_derivations",

@@ -125,10 +125,11 @@ class TestTypeAClassification:
         with pytest.raises(ValueError):
             classify_nilpotent_orbits_typeA(0)
 
-    @pytest.mark.parametrize("rank", [2.0, True], ids=repr)
+    @pytest.mark.parametrize("rank", [2.0, True, "3", None], ids=repr)
     def test_non_integer_rank_refused_before_enumerating(self, rank, monkeypatch):
         # 2.0 raised "can't multiply sequence by non-int of type 'float'"
-        # from the partition walk
+        # from the partition walk, and "3" and None "'<' not supported"
+        # from the rank checks
         def forbidden(n):
             raise AssertionError("partitions enumerated")
 

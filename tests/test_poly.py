@@ -207,15 +207,14 @@ class TestArithmetic:
 
 
 def random_operand(rng, kind, max_terms=4, max_exp=3):
-    """A nonzero polynomial with int coefficients, built unchecked the way
-    the package builds its int-coefficient results ("int"), or with
-    Fraction coefficients that all have a denominator ("fraction")."""
+    """A nonzero polynomial with integral Fraction coefficients ("int"), or
+    with Fraction coefficients that all have a denominator ("fraction")."""
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         mono = tuple(rng.randint(0, max_exp) for _ in GENS)
         c = rng.choice((-1, 1)) * rng.randint(1, 5)
         terms[mono] = c if kind == "int" else Fraction(2 * c + 1, 2 * rng.randint(1, 3))
-    return MultiPoly._of(GENS, terms) if kind == "int" else MultiPoly(GENS, terms)
+    return MultiPoly(GENS, terms)
 
 
 def coefficient_types(p):
@@ -224,8 +223,8 @@ def coefficient_types(p):
 
 class TestOracleProducts:
     """`*` and `**` against perfbench's oracles, which share no code with
-    them, and the coefficient-type rule: int-coefficient operands give
-    ints, any Fraction operand gives Fractions."""
+    them, and the coefficient-type rule: results hold Fractions, integral
+    ones included."""
 
     @pytest.mark.parametrize("kinds", [("int", "int"), ("int", "fraction"),
                                        ("fraction", "int"), ("fraction", "fraction")],
@@ -236,7 +235,7 @@ class TestOracleProducts:
             f, g = (random_operand(rng, kind) for kind in kinds)
             product = f * g
             assert product.terms == oracles.poly_mul(f.terms, g.terms)
-            assert coefficient_types(product) == {int if kinds == ("int", "int") else Fraction}
+            assert coefficient_types(product) == {Fraction}
 
     @pytest.mark.parametrize("kind", ["int", "fraction"])
     def test_power(self, kind):
@@ -246,8 +245,7 @@ class TestOracleProducts:
             for e in range(9):
                 power = f ** e
                 assert power.terms == oracles.poly_pow(f.terms, e)
-                # p ** 0 is the checked constant 1
-                assert coefficient_types(power) == {int if e and kind == "int" else Fraction}
+                assert coefficient_types(power) == {Fraction}
 
     def test_zero_operands(self):
         rng = random.Random(2803)
@@ -267,6 +265,16 @@ class TestOracleProducts:
             for product in (f * scalar, scalar * f):
                 assert product.terms == oracles.poly_mul(f.terms, constant)
                 assert coefficient_types(product) == ({Fraction} if scalar else set())
+
+
+def test_numerators_of_int_maps_are_over_one():
+    # an all-int map, such as a witness-search product, is copied with
+    # denominator 1, so `_over` always divides
+    terms = {(1, 0, 0, 0): 3, (0, 0, 0, 0): -2}
+    numerators, d = poly._numerators(terms)
+    assert (numerators, d) == (terms, 1) and numerators is not terms
+    assert poly._numerators({}) == ({}, 1)
+    assert poly._over(numerators, d) == {m: Fraction(c) for m, c in terms.items()}
 
 
 class TestTextFormat:
