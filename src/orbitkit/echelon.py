@@ -18,34 +18,28 @@ def _add_term(terms: dict, key, coef) -> None:
 class Echelon:
     """Incremental row echelon form of integer vectors: maps from orderable
     keys to nonzero ints.  `rows` maps each row's pivot, its largest key,
-    to (row, combination): the row is the sum of c * v over the (i, c) of
-    the combination, v the i-th vector inserted.  An entry at a pivot is
-    cancelled as row <- a*row - b*pivot_row with a, b coprime integers."""
+    to the row; an entry at a pivot is cancelled as row <- a*row -
+    b*pivot_row with a, b coprime.  Tagging input i with a key of its own
+    below every real key, entry 1, makes each row carry its combination."""
 
     def __init__(self):
         self.rows: dict = {}
-        self.inserted = 0
 
     def insert(self, vec: dict):
         """Reduce vec, a map the caller gives up, by the rows; store the rest
         and return its pivot, or return None when vec is in the span."""
-        combo = {self.inserted: 1}
-        self.inserted += 1
         while vec:
             pivot = max(vec)
             if pivot not in self.rows:
-                self.rows[pivot] = (vec, combo)
+                self.rows[pivot] = vec
                 return pivot
-            rvec, rcombo = self.rows[pivot]
+            rvec = self.rows[pivot]
             g = math.gcd(rvec[pivot], vec[pivot])
             a, b = rvec[pivot] // g, vec[pivot] // g
             if a != 1:
                 vec = {m: a * c for m, c in vec.items()}
-                combo = {i: a * c for i, c in combo.items()}
             for m, c in rvec.items():
                 _add_term(vec, m, -b * c)
-            for i, c in rcombo.items():
-                _add_term(combo, i, -b * c)
         return None
 
 

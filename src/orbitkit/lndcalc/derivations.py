@@ -230,11 +230,15 @@ def verify_semicompatibility_witness(ring: QuotientRing,
     (`QuotientRing._product`), ints for integral kernel elements; each
     enters the echelon as its integer numerators, so `Fraction` arithmetic
     runs only for rational kernel elements and for the report's
-    coefficients (c*scale/lead) and factors, its only polynomials.  A
-    degree that is not a nonnegative int (a bool included) raises ValueError.
+    coefficients (c*scale/lead) and factors, its only polynomials.  Product
+    i is tagged (-1, i), below every monomial, so the row pivoted on 1
+    holds its combination in its tags.  A degree that is not a nonnegative
+    int (a bool included), or a ring with no generators, raises ValueError.
     """
     if type(degree) is not int or degree < 0:
         raise ValueError(f"degree must be a nonnegative int, got {degree!r}")
+    if not ring.gens:
+        raise ValueError("the witness search needs a ring with at least one generator")
     kernels = [[ring.normal_form(f) for f in k] for k in (kernel1, kernel2)]
     for side, (d, elements) in enumerate(zip((d1, d2), kernels)):
         for f in elements:
@@ -250,14 +254,15 @@ def verify_semicompatibility_witness(ring: QuotientRing,
             for _, llabel, tleft in _level(ring, left, dl):
                 for _, rlabel, tright in _level(ring, right, total - dl):
                     vec, scale = _numerators(ring._product(tleft, tright))
+                    vec[-1, len(visited)] = 1
                     visited.append((llabel, rlabel, tleft, tright, total, scale))
                     pivot = span.insert(vec)
                     # 1 is in the span once the smallest monomial, 1, is a pivot
-                    if pivot is not None and not any(pivot):
-                        row, combo = span.rows[pivot]
+                    if not any(pivot):
+                        row = span.rows[pivot]
                         terms = tuple(
-                            WitnessTerm(Fraction(combo[i] * sc, row[pivot]), ll, rl,
+                            WitnessTerm(Fraction(row[-1, i] * sc, row[pivot]), ll, rl,
                                         MultiPoly(ring.gens, lt), MultiPoly(ring.gens, rt), t)
-                            for i, (ll, rl, lt, rt, t, sc) in enumerate(visited) if i in combo)
+                            for i, (ll, rl, lt, rt, t, sc) in enumerate(visited) if (-1, i) in row)
                         return WitnessReport(degree, terms, found_degree=total)
     return WitnessReport(degree)

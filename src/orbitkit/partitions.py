@@ -173,6 +173,8 @@ def enumerate_partitions(n: int,
     n above 255 is refused up front (p(256) is about 3.7e14).
     """
     n = operator.index(n)  # refuses floats and strings, as parts are
+    if not isinstance(constraint, PartitionConstraint):
+        raise TypeError(f"constraint must be a PartitionConstraint, got {constraint!r}")
     if n < 0:
         raise ValueError(f"cannot partition a negative total: {n}")
     if n > 255:
@@ -226,6 +228,8 @@ def count_partitions(n: int,
     count exact at any size.
     """
     n = operator.index(n)
+    if not isinstance(constraint, PartitionConstraint):
+        raise TypeError(f"constraint must be a PartitionConstraint, got {constraint!r}")
     if n < 0:
         raise ValueError(f"cannot partition a negative total: {n}")
     return _counts(n, constraint)[n]

@@ -1,10 +1,12 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from orbitkit import lndcalc
+from orbitkit.echelon import rank
 from orbitkit.lndcalc import sl2
 from orbitkit.lndcalc import (
     Derivation,
@@ -162,6 +164,46 @@ class TestQuotientRing:
     def test_gen_mismatch(self, ring):
         with pytest.raises(ValueError):
             ring.normal_form(MultiPoly.generator(("x",), "x"))
+
+
+def sl2_dimension(k):
+    """dim C[SL2]_{<=k}, the standard monomials (no a1*b2) of degree <= k."""
+    return (k + 1) * (k + 2) * (2 * k + 3) // 6
+
+
+def integral(p):
+    """p's terms as ints, after checking that every coefficient is integral."""
+    assert all(c.denominator == 1 for c in p.terms.values()), p
+    return {m: int(c) for m, c in p.terms.items()}
+
+
+class TestClosedForms:
+    """Counts on C[SL2] with closed forms, oracles for normal_form and
+    echelon.rank that share no code with them."""
+
+    @staticmethod
+    def monomials(ring, k, standard=False):
+        """x^m of degree <= k; only those that a1*b2 does not divide when standard."""
+        return [MultiPoly(ring.gens, {m: 1}) for m in product(range(k + 1), repeat=4)
+                if sum(m) <= k and not (standard and m[0] and m[3])]
+
+    def test_filtration_dimensions(self, ring):
+        dims = [rank(integral(ring.normal_form(x)) for x in self.monomials(ring, k))
+                for k in range(8)]
+        assert dims == [sl2_dimension(k) for k in range(8)] == [1, 5, 14, 30, 55, 91, 140, 204]
+
+    def test_tangent_field_counts(self, ring):
+        # (f_i) of degree <= d is tangent when sum f_i * dF/dx_i = 0: the
+        # kernel of a map into C[SL2]_{<=d+1}, which is onto for these d
+        partials = [ring.element(p) for p in ("b2", "-b1", "-a2", "a1")]
+        counts = []
+        for d in range(1, 6):
+            standard = self.monomials(ring, d, standard=True)
+            assert len(standard) == sl2_dimension(d)
+            images = rank(integral(ring.normal_form(s * p)) for s in standard for p in partials)
+            counts.append(4 * sl2_dimension(d) - images)
+        assert counts == [4 * sl2_dimension(d) - sl2_dimension(d + 1)
+                          for d in range(1, 6)] == [6, 26, 65, 129, 224]
 
 
 class TestDerivations:
@@ -659,6 +701,15 @@ class TestWitnessSearch:
         report = verify_semicompatibility_witness(free, zero, zero,
                                                   [free.one()], [free.one()])
         assert report.found and report.equation() == "1 = 1*1"
+
+    def test_ring_without_generators_refused(self):
+        # its only monomial, (), sorts below the product tags (-1, i), so
+        # the search would read "1 not found" where 1 = 1/6*2*3
+        bare = QuotientRing(())
+        zero = make_derivation(bare)
+        with pytest.raises(ValueError, match="at least one generator"):
+            verify_semicompatibility_witness(bare, zero, zero,
+                                             [bare.constant(2)], [bare.constant(3)])
 
     def test_membership_precondition_checked(self, ring, derivations):
         d1, d2 = derivations

@@ -253,22 +253,29 @@ class TestEchelon:
                 pivot = span.insert(dict(vec))
                 assert (pivot is not None) == independent, vectors
                 if independent:
-                    assert pivot in span.rows and pivot == max(span.rows[pivot][0])
+                    assert pivot in span.rows and pivot == max(span.rows[pivot])
 
     def test_each_row_is_its_combination_of_inserted_vectors(self):
+        # the augmented matrix [A | I]: vector i is tagged (-1, i), below every key
         rng = random.Random(1968)
         for _ in range(100):
             span = echelon.Echelon()
             vectors = random_vectors(rng, rng.randint(1, 10), self.KEYS)
-            for vec in vectors:
-                span.insert(dict(vec))
-            assert span.inserted == len(vectors)
-            for row, combo in span.rows.values():
+            for i, vec in enumerate(vectors):
+                span.insert({**vec, (-1, i): 1})
+            relations = 0
+            for pivot, row in span.rows.items():
                 total = {}
-                for i, c in combo.items():
-                    for k, x in vectors[i].items():
-                        total[k] = total.get(k, 0) + c * x
-                assert {k: x for k, x in total.items() if x} == row
+                for key, c in row.items():
+                    if key[0] == -1:
+                        for k, x in vectors[key[1]].items():
+                            total[k] = total.get(k, 0) + c * x
+                untagged = {k: x for k, x in row.items() if k[0] != -1}
+                assert {k: x for k, x in total.items() if x} == untagged
+                if pivot[0] == -1:
+                    relations += 1
+                    assert untagged == {}
+            assert relations == len(vectors) - fraction_rank(self.dense(vectors))
 
 
 class TestDimensions:

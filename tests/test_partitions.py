@@ -294,6 +294,18 @@ class TestSharedTables:
         count_partitions(1000, DO)
         assert len(partitions._TABLES[DO]) == 1001
 
+    @pytest.mark.parametrize("constraint", ["unrestricted", None], ids=repr)
+    def test_refuses_constraints_that_are_not_members(self, monkeypatch, constraint):
+        # count_partitions(10, "unrestricted") read 10, the distinct-part count,
+        # and left the string as a key of _TABLES
+        monkeypatch.setattr(partitions, "_TABLES", {})
+        for function in (enumerate_partitions, count_partitions):
+            for n in (0, 10):
+                with pytest.raises(TypeError, match=f"got {constraint!r}"):
+                    function(n, constraint)
+        count_partitions(10, U)
+        assert list(partitions._TABLES) == [U]
+
 
 class TestConjugation:
     def test_examples(self):

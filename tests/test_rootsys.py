@@ -224,6 +224,19 @@ class TestSelfChecks:
         with pytest.raises(RootSystemConsistencyError, match="singular Cartan matrix in A2"):
             build_root_system(LieType("A", 2))
 
+    def test_height_one_root_that_is_not_simple(self, monkeypatch):
+        # the closure itself is corrupted: coefficients (2, -1) have height 1
+        closure = rootsys._closure_from_cartan
+        monkeypatch.setattr(rootsys, "_closure_from_cartan",
+                            lambda cartan, simple: {**closure(cartan, simple), (2, -1): (3, -3, 0)})
+        build_root_system.cache_clear()
+        try:
+            with pytest.raises(RootSystemConsistencyError, match=re.escape(
+                    "height-1 roots must be simple; offender (3, -3, 0) in A2")):
+                build_root_system(LieType("A", 2))
+        finally:
+            build_root_system.cache_clear()
+
 
 def test_closure_refuses_mixed_sign_coefficients():
     # positive off-diagonal Cartan entries reflect a simple root into
