@@ -13,18 +13,19 @@ from scratch, from the exact rank (`echelon.rank`) of the commutator
 linear system, so the conjugate-partition dimension formula is tested
 against something it does not share code with.  The Jordan matrix N is
 block diagonal, so block (a, b) of [N, Y] involves only block (a, b) of
-Y: the oracle solves one block pair at a time.
+Y: the oracle solves each pair of block sizes once per process, in a
+memo of at most ORACLE_SIZE_CAP**2 entries.
 """
 
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .partitions import (
     Partition,
     PartitionConstraint,
     _counts,
-    conjugate_partition,
     count_partitions,
     enumerate_partitions,
 )
@@ -112,15 +113,24 @@ def classify_nilpotent_orbits_typeA(n: int) -> list[Partition]:
     return parts
 
 
+def _check_partition(p) -> None:
+    if not isinstance(p, Partition):
+        raise TypeError(f"Jordan type must be a Partition, got {p!r}")
+
+
 def orbit_dimension_typeA(p: Partition) -> int:
     """Dimension of the GL-conjugation orbit of a nilpotent Jordan type:
-    total^2 minus the sum of squared conjugate parts."""
+    total^2 minus the sum of squared conjugate parts.  Weight each cell in
+    row i of the diagram by 2i-1: column j sums to p*_j^2 (the first p*_j
+    odd numbers) and row i to (2i-1)*p_i, so both sums are equal."""
+    _check_partition(p)
     if not len(p):
         raise ValueError("Jordan type of a nilpotent endomorphism is nonempty")
     k = p.total
-    return k * k - sum(q * q for q in conjugate_partition(p))
+    return k * k - sum(map(operator.mul, range(1, 2 * len(p), 2), p))
 
 
+@lru_cache(maxsize=None)
 def _block_pair_kernel(a: int, b: int) -> int:
     """Dimension of the a x b matrices Y with J_a Y = Y J_b, for nilpotent
     Jordan blocks J_a and J_b: the kernel of an ab x ab system."""
@@ -141,7 +151,8 @@ def centralizer_dimension_oracle(p: Partition) -> int:
     """Dimension of the space of k x k matrices commuting with the
     nilpotent Jordan matrix N of type p, computed as the exact kernel
     dimension of the commutator system [N, Y] = 0, one pair of Jordan
-    blocks at a time; equal block sizes share one solve."""
+    blocks at a time; each pair of block sizes is solved once per process."""
+    _check_partition(p)
     k = p.total
     if k > ORACLE_SIZE_CAP:
         raise CapacityError(f"oracle solves block systems of up to {max(p) ** 2} rows"

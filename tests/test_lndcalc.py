@@ -32,6 +32,7 @@ from orbitkit.lndcalc import (
     verify_invariant_hypersurface,
     verify_semicompatibility_witness,
 )
+from orbitkit.rootsys import LieType, group_dimension
 from perfbench import oracles
 
 
@@ -197,13 +198,16 @@ class TestClosedForms:
         # kernel of a map into C[SL2]_{<=d+1}, which is onto for these d
         partials = [ring.element(p) for p in ("b2", "-b1", "-a2", "a1")]
         counts = []
-        for d in range(1, 6):
+        for d in range(1, 8):
             standard = self.monomials(ring, d, standard=True)
             assert len(standard) == sl2_dimension(d)
             images = rank(integral(ring.normal_form(s * p)) for s in standard for p in partials)
             counts.append(4 * sl2_dimension(d) - images)
         assert counts == [4 * sl2_dimension(d) - sl2_dimension(d + 1)
-                          for d in range(1, 6)] == [6, 26, 65, 129, 224]
+                          for d in range(1, 8)] == [6, 26, 65, 129, 224, 356, 531]
+        # the linear fields are the Lie algebra of SL2 x SL2 acting by left
+        # and right multiplication: dim VF<=1 = dim G, counted by rootsys
+        assert counts[0] == 2 * group_dimension(LieType("A", 1))
 
 
 class TestDerivations:

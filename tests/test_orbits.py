@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -325,12 +326,35 @@ class TestDimensions:
             return rank(rows)
 
         monkeypatch.setattr(orbits, "rank", counted)
-        for k in range(1, orbits.ORACLE_SIZE_CAP + 1):
-            for p in enumerate_partitions(k):
-                shapes.clear()
-                centralizer_dimension_oracle(p)
-                assert len(shapes) == len(set(p)) ** 2, p
-                assert max(shapes) == p[0] ** 2, p
+        cap = orbits.ORACLE_SIZE_CAP
+        every = [p for k in range(1, cap + 1) for p in enumerate_partitions(k)]
+        for p in every:
+            orbits._block_pair_kernel.cache_clear()
+            shapes.clear()
+            centralizer_dimension_oracle(p)
+            assert len(shapes) == len(set(p)) ** 2, p
+            assert max(shapes) == p[0] ** 2, p
+            shapes.clear()
+            centralizer_dimension_oracle(p)
+            assert shapes == [], p
+        # once per process: the whole sweep solves each pair of sizes once.
+        # Blocks a and b meet in one Jordan type when a == b or a + b <= cap,
+        # so 32 of the cap**2 possible keys occur
+        orbits._block_pair_kernel.cache_clear()
+        shapes.clear()
+        for p in every:
+            centralizer_dimension_oracle(p)
+        pairs = [(a, b) for a in range(1, cap + 1) for b in range(1, cap + 1)
+                 if a == b or a + b <= cap]
+        assert len(shapes) == orbits._block_pair_kernel.cache_info().currsize == len(pairs) == 32
+
+    @pytest.mark.parametrize("value", [(2, 1), [2, 1], None])
+    def test_refuses_jordan_types_that_are_not_partitions(self, value):
+        # (2, 1) ended in AttributeError on `.total`; an unchecked sequence
+        # must not reach the row-weighted dimension sum
+        for function in (orbit_dimension_typeA, centralizer_dimension_oracle):
+            with pytest.raises(TypeError, match=re.escape(f"got {value!r}")):
+                function(value)
 
     def test_oracle_on_empty_partition(self):
         # no Jordan blocks: no systems, kernel dimension 0
