@@ -345,14 +345,10 @@ def dimension_gap_check(g: LieType, r: LieType) -> CaseVerdict:
     return _identify(g, r).gap_check()
 
 
-def _gap_exceptions(rows: list[PrincipalRow]) -> list[EmbeddingCase]:
-    return [row.case for row in rows if not row.gap_exceeds]
-
-
 def dimension_gap_exceptions(l_max: int = DEFAULT_L_MAX) -> list[EmbeddingCase]:
     """Rows of the principal table whose dimension gap does not exceed
     rank G + 3; these need the refined subregular argument."""
-    return _gap_exceptions(principal_table(l_max))
+    return [row.case for row in principal_table(l_max) if not row.gap_exceeds]
 
 
 def subregular_membership_check(g: LieType, r: LieType) -> CaseVerdict:
@@ -402,7 +398,7 @@ def appendix_checks(l_max: int = DEFAULT_L_MAX) -> list[tuple[str, str, dict, di
                        row.case.as_inputs(), outputs, True))
     checks += [v.as_check(f"subregular check: {v.case}")
                for v in map(PrincipalRow.subregular_check, rows)]
-    found = sorted(map(str, _gap_exceptions(rows)))
+    found = sorted(str(row.case) for row in rows if not row.gap_exceeds)
     checks.append(("table-row", "dimension-gap exception set", {"l_max": l_max},
                    {"expected": list(PAPER_GAP_EXCEPTIONS), "found": found},
                    found == list(PAPER_GAP_EXCEPTIONS)))

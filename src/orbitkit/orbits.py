@@ -25,12 +25,13 @@ from functools import lru_cache
 from .partitions import (
     Partition,
     PartitionConstraint,
+    _check_partition,
     _counts,
     count_partitions,
     enumerate_partitions,
 )
 from .echelon import rank
-from .rootsys import LieType, RootSystemConsistencyError
+from .rootsys import LieType, RootSystemConsistencyError, _check_lie_type
 
 __all__ = [
     "OrbitCount",
@@ -81,6 +82,7 @@ def _pair_count(total: int, lam_weight: int, mu_constraint: PartitionConstraint)
 
 def nilpotent_orbit_count(t: LieType) -> OrbitCount:
     """Number of nilpotent adjoint orbits of the simple algebra of type t."""
+    _check_lie_type(t)
     fam, m = t.family, t.rank
     notes = (_ZERO_ORBIT_NOTE,)
     if fam == "A":
@@ -111,11 +113,6 @@ def classify_nilpotent_orbits_typeA(n: int) -> list[Partition]:
             f"classify A{n}: enumerated {len(parts)} Jordan types, but the"
             f" partition formula counts {expected}")
     return parts
-
-
-def _check_partition(p) -> None:
-    if not isinstance(p, Partition):
-        raise TypeError(f"Jordan type must be a Partition, got {p!r}")
 
 
 def orbit_dimension_typeA(p: Partition) -> int:
@@ -169,6 +166,7 @@ def subregular_partition(t: LieType) -> Partition:
     """Jordan type of the subregular nilpotent orbit, for the cases
     where a partition labels it: (r,1) in A_r, (2l-3,3) in D_l, and
     (5,1,1) in B3."""
+    _check_lie_type(t)
     fam, r = t.family, t.rank
     if fam == "A" and r >= 2:
         return Partition((r, 1))

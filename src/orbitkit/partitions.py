@@ -11,11 +11,12 @@ loop per item.  Packing parts in bytes limits enumeration to n <= 255.
 The order is lexicographically decreasing, and a constrained enumeration
 filters that one stream, so it costs O(p(n)) whatever the constraint.
 
-Validation happens once, at the public boundary: `Partition(parts)`
-checks every part.  Partitions this module derives itself skip it, being
-valid by construction and packed as `__init__` packs them: the walk
-emits weakly decreasing positive parts as bytes, and a conjugate's column
-lengths (built by `Partition._of`) are positive and weakly decreasing.
+A `Partition` is made two ways.  `Partition(parts)` checks every part
+and packs them as bytes unless a part is 256 or more, the empty
+partition included.  Enumeration is the one unchecked path: the walk
+emits weakly decreasing positive parts, already packed as bytes, and
+stores them in bulk.  The functions here that take a `Partition` refuse
+anything else with `_check_partition`, which `orbits` calls as well.
 
 All values are immutable and all functions are pure.
 """
@@ -44,13 +45,6 @@ class PartitionConstraint(Enum):
 
 # bound once: a full enumeration builds tens of thousands of partitions
 _new = object.__new__
-_set = object.__setattr__
-
-
-def _pack(parts: tuple[int, ...]):
-    """The stored form of weakly decreasing parts: bytes when the largest
-    fits in one, else the tuple itself."""
-    return bytes(parts) if parts and parts[0] < 256 else parts
 
 
 class Partition:
@@ -58,8 +52,8 @@ class Partition:
 
     The empty partition () is the unique partition of 0.  Instances are
     immutable, hashable, and ordered lexicographically on their parts.
-    Parts below 256 are stored as bytes, which halves the memory of a
-    full enumeration; `parts` is always a tuple.
+    Parts are stored as bytes unless one is 256 or more, which halves
+    the memory of a full enumeration; `parts` is always a tuple.
     """
 
     __slots__ = ("_packed",)
@@ -73,15 +67,7 @@ class Partition:
                     raise ValueError(f"parts must be positive, got {p}")
                 if i > 0 and parts[i - 1] < p:
                     raise ValueError(f"parts must be weakly decreasing: {parts}")
-        _set(self, "_packed", _pack(parts))
-
-    @classmethod
-    def _of(cls, parts: tuple[int, ...]) -> "Partition":
-        """Unchecked constructor for parts known to be positive ints in
-        weakly decreasing order."""
-        self = _new(cls)
-        _set(self, "_packed", _pack(parts))
-        return self
+        object.__setattr__(self, "_packed", bytes(parts) if not parts or parts[0] < 256 else parts)
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -143,7 +129,7 @@ _SMALL = 4  # parts up to this size come from the shared tables; 3 and 5 measure
 
 
 def _packed_partitions(n: int) -> list[bytes]:
-    """Every partition of 1 <= n <= 255 packed as bytes, in
+    """Every partition of 0 <= n <= 255 packed as bytes, in
     lexicographically decreasing order."""
     small = [[b""]] + [[]] * n  # small[m]: partitions of m with parts <= k, here k = 0
     for k in range(1, _SMALL + 1):
@@ -180,8 +166,6 @@ def enumerate_partitions(n: int,
     if n > 255:
         raise ValueError(f"cannot enumerate the {count_partitions(n)} partitions of {n}: "
                          "enumeration stops at n = 255")
-    if n == 0:
-        return [Partition()]
     stream = _packed_partitions(n)
     if constraint is not PartitionConstraint.UNRESTRICTED:
         stream = [p for p in stream if all(map(operator.gt, p, p[1:]))
@@ -235,13 +219,19 @@ def count_partitions(n: int,
     return _counts(n, constraint)[n]
 
 
+def _check_partition(p) -> None:
+    if not isinstance(p, Partition):
+        raise TypeError(f"Jordan type must be a Partition, got {p!r}")
+
+
 def conjugate_partition(p: Partition) -> Partition:
     """Transpose of the Young diagram; an involution preserving the total."""
+    _check_partition(p)
     cols = [0] * max(p, default=0)
     for part in p:
         for i in range(part):
             cols[i] += 1
-    return Partition._of(tuple(cols))
+    return Partition(cols)
 
 
 def is_symplectic_partition(p: Partition) -> bool:
@@ -250,6 +240,7 @@ def is_symplectic_partition(p: Partition) -> bool:
     Jordan types of nilpotent elements inside a symplectic algebra have
     this property.
     """
+    _check_partition(p)
     return all(m % 2 == 0 for part, m in Counter(p.parts).items() if part % 2 == 1)
 
 
@@ -259,4 +250,5 @@ def is_orthogonal_partition(p: Partition) -> bool:
     Jordan types of nilpotent elements inside an orthogonal algebra have
     this property.
     """
+    _check_partition(p)
     return all(m % 2 == 0 for part, m in Counter(p.parts).items() if part % 2 == 0)

@@ -91,6 +91,11 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
+def _check_lie_type(t) -> None:
+    if not isinstance(t, LieType):
+        raise TypeError(f"Lie type must be a LieType, got {t!r}")
+
+
 @dataclass(frozen=True)
 class RootSystem:
     lie_type: LieType
@@ -212,6 +217,7 @@ def build_root_system(t: LieType) -> RootSystem:
     Positive roots are ordered by (height, lexicographic), so repeated
     builds are identical.
     """
+    _check_lie_type(t)
     simple = _simple_roots(t)
     cartan = _cartan_from_simple(simple)
     table = {"G": _G2_CARTAN, "F": _F4_CARTAN}.get(t.family)
@@ -247,6 +253,7 @@ def positive_root_count(t: LieType) -> int:
     forms n(n+1)/2 (A), n^2 (B, C) and n(n-1) (D) at every rank, which
     the tests match against the full build; the exceptional types count
     the self-checked build_root_system."""
+    _check_lie_type(t)
     n = t.rank
     if t.family not in "ABCD":
         return len(build_root_system(t).positive_roots)

@@ -1,7 +1,8 @@
 import hashlib
+import operator
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -179,8 +180,8 @@ def integral(p):
 
 
 class TestClosedForms:
-    """Counts on C[SL2] with closed forms, oracles for normal_form and
-    echelon.rank that share no code with them."""
+    """Counts on C[SL2], C* and SL3 with closed forms, oracles for
+    normal_form and echelon.rank that share no code with them."""
 
     @staticmethod
     def monomials(ring, k, standard=False):
@@ -208,6 +209,41 @@ class TestClosedForms:
         # the linear fields are the Lie algebra of SL2 x SL2 acting by left
         # and right multiplication: dim VF<=1 = dim G, counted by rootsys
         assert counts[0] == 2 * group_dimension(LieType("A", 1))
+
+    @staticmethod
+    def tangent_field_count(ring, d):
+        """dim VF<=d of {relation = 0}: fields (f_i) with standard f_i of
+        degree <= d and sum f_i * dF/dx_i = 0 in the ring, by exact rank."""
+        gens, terms = ring.gens, ring.relation.terms
+        partials = [MultiPoly(gens, {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                                     for m, c in terms.items() if m[i]})
+                    for i in range(len(gens))]
+        standard = [MultiPoly(gens, {m: 1}) for m in product(range(d + 1), repeat=len(gens))
+                    if sum(m) <= d and not all(map(operator.ge, m, ring.lead))]
+        images = rank(integral(ring.normal_form(s * p)) for s in standard for p in partials)
+        return len(partials) * len(standard) - images
+
+    def test_torus_tangent_field_counts(self):
+        # C* = {x*y = 1}, the torus exception: x^i and y^j span C*_{<=d}
+        # (2d + 1 of them), and the fields map onto C*_{<=d+1}
+        torus = QuotientRing(("x", "y"), parse_poly("x*y - 1", ("x", "y")))
+        counts = [self.tangent_field_count(torus, d) for d in range(1, 6)]
+        assert counts == [2 * (2 * d + 1) - (2 * d + 3)
+                          for d in range(1, 6)] == [1, 3, 5, 7, 9]
+
+    def test_sl3_linear_tangent_fields(self):
+        # det - 1 rewrites its lead x11*x22*x33 into monomials that use
+        # x11, x22 or x33, so reduction takes _reduce's pending path
+        gens = tuple(f"x{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3))
+        det = {}
+        for sigma in permutations(range(3)):
+            inversions = sum(sigma[i] > sigma[j] for i, j in combinations(range(3), 2))
+            det[tuple(int(sigma[k // 3] == k % 3) for k in range(9))] = (-1) ** inversions
+        sl3 = QuotientRing(gens, MultiPoly(gens, {**det, (0,) * 9: -1}))
+        assert sl3.lead == (1, 0, 0, 0, 1, 0, 0, 0, 1) and not sl3._one_pass
+        assert sl3.normal_form(MultiPoly(gens, det)) == sl3.one()
+        # sl3 x sl3 acting by left and right multiplication
+        assert self.tangent_field_count(sl3, 1) == 16 == 2 * group_dimension(LieType("A", 2))
 
 
 class TestDerivations:

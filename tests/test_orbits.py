@@ -378,6 +378,15 @@ class TestDimensions:
                 assert sl_dim - subreg == n + 2
 
 
+@pytest.mark.parametrize("function", [nilpotent_orbit_count, subregular_partition],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("value", ["A3", None], ids=repr)
+def test_refuses_values_that_are_not_lie_types(function, value):
+    # both ended in an AttributeError that did not name the value
+    with pytest.raises(TypeError, match=re.escape(f"must be a LieType, got {value!r}")):
+        function(value)
+
+
 class TestSubregular:
     def test_examples(self):
         assert tuple(subregular_partition(T("A6"))) == (6, 1)

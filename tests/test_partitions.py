@@ -2,6 +2,7 @@ import copy
 import hashlib
 import operator
 import pickle
+import re
 
 import pytest
 
@@ -115,8 +116,8 @@ class TestPartitionType:
 
 
 class TestTrustedConstruction:
-    """Partitions the module derives itself skip the checks in
-    `Partition.__init__`; they must equal the checked ones exactly."""
+    """Enumerated partitions skip the checks in `Partition.__init__`;
+    they, and conjugates, must equal the checked ones exactly."""
 
     @pytest.mark.parametrize("c", list(PartitionConstraint), ids=lambda c: c.value)
     def test_enumerated_equal_checked_to_25(self, c):
@@ -145,8 +146,12 @@ class TestTrustedConstruction:
         monkeypatch.setattr(Partition, "__init__", counting_init)
         assert len(enumerate_partitions(41)) == 44583
         assert len(enumerate_partitions(41, D)) == count_partitions(41, D)
-        conjugate_partition(Partition((4, 2, 1)))
-        assert len(calls) == 1  # the Partition((4, 2, 1)) above
+        assert not calls
+
+    @pytest.mark.parametrize("c", list(PartitionConstraint), ids=lambda c: c.value)
+    def test_empty_partition_is_packed_as_the_stream_yields_it(self, c):
+        assert Partition()._packed == b""
+        assert enumerate_partitions(0, c) == [Partition()]
 
 
 def reference_partitions(n, max_part, constraint, prefix=()):
@@ -305,6 +310,16 @@ class TestSharedTables:
                     function(n, constraint)
         count_partitions(10, U)
         assert list(partitions._TABLES) == [U]
+
+
+@pytest.mark.parametrize("function", [conjugate_partition, is_symplectic_partition,
+                                      is_orthogonal_partition], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("value", [(2, 1), [2, 1], None], ids=repr)
+def test_refuses_jordan_types_that_are_not_partitions(function, value):
+    # the predicates ended in AttributeError on .parts, and conjugation
+    # returned Partition(2, 1) for (2, 1) and [2, 1]
+    with pytest.raises(TypeError, match=re.escape(f"must be a Partition, got {value!r}")):
+        function(value)
 
 
 class TestConjugation:

@@ -61,6 +61,14 @@ class TestLieType:
         assert LieType("D", 3) == LieType("A", 3)
         assert str(LieType("C", 2)) == "B2"
 
+    @pytest.mark.parametrize("function", [build_root_system, positive_root_count,
+                                          group_dimension], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("value", ["A3", None], ids=repr)
+    def test_functions_refuse_values_that_are_not_lie_types(self, function, value):
+        # each ended in an AttributeError that did not name the value
+        with pytest.raises(TypeError, match=re.escape(f"must be a LieType, got {value!r}")):
+            function(value)
+
 
 class TestConstruction:
     @pytest.mark.parametrize("t", ALL_RANK_LE_8, ids=str)
