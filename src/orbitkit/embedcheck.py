@@ -21,6 +21,7 @@ number from root systems and partition counts and fail loudly on any
 mismatch.
 """
 
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -29,7 +30,7 @@ from typing import Callable, Mapping
 
 from .orbits import nilpotent_orbit_count, subregular_partition
 from .partitions import Partition, is_orthogonal_partition, is_symplectic_partition
-from .rootsys import LieType, group_dimension
+from .rootsys import LieType, _check_lie_type, group_dimension
 from .rootsys import RootSystemConsistencyError as InconsistencyError
 
 __all__ = [
@@ -267,6 +268,8 @@ SUPPORTED_CASES = _supported_cases()
 def _identify(g: LieType, r: LieType) -> PrincipalRow:
     """The table row of the analyzed pair g > r, l solved from the rank of g.
     Raises UnsupportedCaseError outside the case list."""
+    _check_lie_type(g)
+    _check_lie_type(r)
     for rec in _CASES:
         letter, a, b = _rank_form(rec.g)
         l, rest = divmod(g.rank - b, a) if a else (None, g.rank - b)
@@ -280,6 +283,7 @@ def _identify(g: LieType, r: LieType) -> PrincipalRow:
 
 def _sweep(l_max: int) -> list[tuple[_Case, int | None]]:
     """Every (record, l) of the table up to l_max, in table order."""
+    l_max = operator.index(l_max)  # refuses floats, strings and None
     if l_max < _L_MAX_MIN:
         raise ValueError(f"l_max must be at least {_L_MAX_MIN}, got {l_max}")
     return [(rec, l) for rec in _CASES

@@ -14,7 +14,9 @@ linear system, so the conjugate-partition dimension formula is tested
 against something it does not share code with.  The Jordan matrix N is
 block diagonal, so block (a, b) of [N, Y] involves only block (a, b) of
 Y: the oracle solves each pair of block sizes once per process, in a
-memo of at most ORACLE_SIZE_CAP**2 entries.
+memo of at most ORACLE_SIZE_CAP**2 entries (the Jordan types within the
+cap reach 32).  A second memo keeps each Jordan type's answer: at most
+the 66 partitions of 1..ORACLE_SIZE_CAP.  Refusals are never memoised.
 """
 
 import operator
@@ -148,12 +150,18 @@ def centralizer_dimension_oracle(p: Partition) -> int:
     """Dimension of the space of k x k matrices commuting with the
     nilpotent Jordan matrix N of type p, computed as the exact kernel
     dimension of the commutator system [N, Y] = 0, one pair of Jordan
-    blocks at a time; each pair of block sizes is solved once per process."""
+    blocks at a time; each pair of block sizes is solved once per process,
+    and each Jordan type summed once (the refusals run on every call)."""
     _check_partition(p)
     k = p.total
     if k > ORACLE_SIZE_CAP:
         raise CapacityError(f"oracle solves block systems of up to {max(p) ** 2} rows"
                             f" for a partition of {k}; cap is total <= {ORACLE_SIZE_CAP}")
+    return _centralizer(p)
+
+
+@lru_cache(maxsize=None)  # keyed by the checked, capped Jordan types only
+def _centralizer(p: Partition) -> int:
     sizes = Counter(p)
     return sum(m * n * _block_pair_kernel(a, b)
                for a, m in sizes.items() for b, n in sizes.items())

@@ -1,4 +1,5 @@
 import copy
+import re
 from dataclasses import replace
 
 import pytest
@@ -12,6 +13,7 @@ from orbitkit.embedcheck import (
     InconsistencyError,
     UnsupportedCaseError,
     Witness,
+    appendix_checks,
     dimension_gap_check,
     dimension_gap_exceptions,
     embedding_verdict,
@@ -323,3 +325,25 @@ class TestCaseTable:
             principal_table(4)
         with pytest.raises(InconsistencyError):
             dimension_gap_check(T("A6"), T("G2"))
+
+
+@pytest.mark.parametrize("function", [
+    embedding_verdict, dimension_gap_check, subregular_membership_check,
+], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("value", ["A3", None], ids=repr)
+@pytest.mark.parametrize("side", ["g", "r"])
+def test_pair_lookups_refuse_values_that_are_not_lie_types(function, value, side):
+    # each ended in AttributeError: 'str' object has no attribute 'rank'
+    g, r = (value, T("B2")) if side == "g" else (T("A3"), value)
+    with pytest.raises(TypeError, match=re.escape(f"Lie type must be a LieType, got {value!r}")):
+        function(g, r)
+
+
+@pytest.mark.parametrize("function", [
+    principal_table, rank2_cases_report, dimension_gap_exceptions, appendix_checks,
+], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("value", ["5", None, 5.0], ids=repr)
+def test_sweeps_refuse_l_max_that_is_not_an_int(function, value):
+    # "5" and None failed on "'<' not supported between instances"
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        function(value)

@@ -330,6 +330,7 @@ class TestDimensions:
         every = [p for k in range(1, cap + 1) for p in enumerate_partitions(k)]
         for p in every:
             orbits._block_pair_kernel.cache_clear()
+            orbits._centralizer.cache_clear()
             shapes.clear()
             centralizer_dimension_oracle(p)
             assert len(shapes) == len(set(p)) ** 2, p
@@ -341,12 +342,42 @@ class TestDimensions:
         # Blocks a and b meet in one Jordan type when a == b or a + b <= cap,
         # so 32 of the cap**2 possible keys occur
         orbits._block_pair_kernel.cache_clear()
+        orbits._centralizer.cache_clear()
         shapes.clear()
         for p in every:
             centralizer_dimension_oracle(p)
         pairs = [(a, b) for a in range(1, cap + 1) for b in range(1, cap + 1)
                  if a == b or a + b <= cap]
         assert len(shapes) == orbits._block_pair_kernel.cache_info().currsize == len(pairs) == 32
+
+    def test_oracle_answers_each_jordan_type_once(self):
+        # fresh Partition objects each sweep: the memo keys by value
+        orbits._centralizer.cache_clear()
+        for _ in range(2):
+            for k in range(1, orbits.ORACLE_SIZE_CAP + 1):
+                for p in enumerate_partitions(k):
+                    centralizer_dimension_oracle(Partition(p.parts))
+        info = orbits._centralizer.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (66, 66, 66)
+
+    def test_oracle_refusals_are_not_memoised(self):
+        orbits._centralizer.cache_clear()
+        centralizer_dimension_oracle(Partition((2, 1)))
+        for parts in [(9,), (9,), (5, 4), (1,) * 9]:
+            with pytest.raises(CapacityError, match="cap is total <= 8"):
+                centralizer_dimension_oracle(Partition(parts))
+        for value in ([2, 1], "21", None, [2, 1]):
+            with pytest.raises(TypeError, match="Jordan type must be a Partition"):
+                centralizer_dimension_oracle(value)
+        assert orbits._centralizer.cache_info().currsize == 1
+
+    def test_oracle_from_cold_memos_matches_conjugate_formula(self):
+        orbits._block_pair_kernel.cache_clear()
+        orbits._centralizer.cache_clear()
+        for k in range(orbits.ORACLE_SIZE_CAP + 1):
+            for p in enumerate_partitions(k):
+                expected = sum(q * q for q in conjugate_partition(Partition(p.parts)))
+                assert centralizer_dimension_oracle(Partition(p.parts)) == expected, p
 
     @pytest.mark.parametrize("value", [(2, 1), [2, 1], None])
     def test_refuses_jordan_types_that_are_not_partitions(self, value):
