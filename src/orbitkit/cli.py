@@ -25,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .embedcheck import (
@@ -60,8 +60,7 @@ class UsageError(ValueError):
     """An argument the command refuses; `main` prints the message and exits 2."""
 
 
-@dataclass
-class Record:
+class Record(NamedTuple):
     """One checked claim; `inputs` and `outputs` hold JSON values only."""
 
     kind: str  # orbit-count | table-row | verdict | lnd-check
@@ -79,8 +78,7 @@ class Record:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.anchor}: {detail}"
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     results: list[Record]
 

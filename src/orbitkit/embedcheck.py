@@ -23,10 +23,10 @@ mismatch.
 
 import operator
 import re
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Mapping
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .orbits import nilpotent_orbit_count, subregular_partition
 from .partitions import Partition, is_orthogonal_partition, is_symplectic_partition
@@ -73,8 +73,7 @@ class UnsupportedCaseError(ValueError):
     to it."""
 
 
-@dataclass(frozen=True)
-class EmbeddingCase:
+class EmbeddingCase(NamedTuple):
     """A labeled pair of types.  Identical labels are representable so
     that the orbit-count comparator can report "equal counts" instead of
     raising; the analyzed case list never contains such pairs."""
@@ -90,12 +89,11 @@ class EmbeddingCase:
         return {"g": str(self.g_type), "r": str(self.r_type), "l": self.family_parameter}
 
 
-@dataclass(frozen=True)
-class CaseVerdict:
+class CaseVerdict(NamedTuple):
     case: EmbeddingCase
     criterion: Criterion
     holds: bool
-    numbers: Mapping[str, int] = field(default_factory=dict)
+    numbers: Mapping[str, int] = MappingProxyType({})
     partition: Partition | None = None
     citation: str | None = None
     note: str | None = None
@@ -120,8 +118,7 @@ class CaseVerdict:
         return "verdict", anchor, self.case.as_inputs(), outputs, self.holds
 
 
-@dataclass(frozen=True)
-class PrincipalRow:
+class PrincipalRow(NamedTuple):
     """One row of the principal-embedding table: the subgroup R is
     principal in G, and the columns compare dim G - dim R with the
     subregular centralizer bound rank G + 3."""
@@ -129,7 +126,7 @@ class PrincipalRow:
     case: EmbeddingCase
     dim_g: int
     dim_r: int
-    record: "_Case" = field(repr=False, compare=False)
+    record: "_Case"
     alias_note: str | None = None
 
     @property
@@ -205,8 +202,7 @@ def _label_at(label: str, l: int | None) -> tuple[str, int]:
     return letter, b if l is None else a * l + b
 
 
-@dataclass(frozen=True)
-class _Case:
+class _Case(NamedTuple):
     """One row of the paper's principal-embedding table: G and R fixed
     ("B3") or linear in the family parameter l >= l_min ("Bl-1").  The l
     in orbit_count_at are rank-2 coincidences, case (1), settled by orbit
@@ -318,7 +314,7 @@ def rank2_cases_report(l_max: int = DEFAULT_L_MAX) -> list[CaseVerdict]:
                 f"case ({index}) fails at {g} > {r}: orbit counts"
                 f" {v.numbers['orbit_count_g']} vs {v.numbers['orbit_count_r']}")
         numbers = {**v.numbers, "case": index, **({} if l is None else {"l": l})}
-        verdicts.append(replace(v, case=EmbeddingCase(g, r, l), numbers=numbers))
+        verdicts.append(v._replace(case=EmbeddingCase(g, r, l), numbers=numbers))
     return sorted(verdicts, key=lambda v: v.numbers["case"])
 
 
@@ -378,12 +374,12 @@ def embedding_verdict(g: LieType, r: LieType) -> CaseVerdict:
     l = row.case.family_parameter
     oc = orbit_count_criterion(g, r)
     if l in row.record.orbit_count_at and oc.holds:
-        return replace(oc, case=row.case, numbers={**oc.numbers, "l": l})
+        return oc._replace(case=row.case, numbers={**oc.numbers, "l": l})
     gap, membership = row.gap_check(), row.subregular_check()
     numbers = {**oc.numbers, **({} if l is None else {"l": l}),
                **gap.numbers, **membership.numbers}
-    return replace(membership, numbers=numbers,
-                   note=membership.note if gap.holds else gap.note)
+    return membership._replace(numbers=numbers,
+                               note=membership.note if gap.holds else gap.note)
 
 
 def appendix_checks(l_max: int = DEFAULT_L_MAX) -> list[tuple[str, str, dict, dict, bool]]:

@@ -8,10 +8,10 @@ checks memberships itself), go to `QuotientRing._reduce` as they are
 made.  The search eliminates with `echelon.Echelon`.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from ..echelon import Echelon
 from .poly import MultiPoly, _ints, _numerators, _over, _signed_sum, poly_to_text
@@ -51,30 +51,32 @@ class KernelMembershipError(ValueError):
     """A claimed kernel element is not actually in the kernel."""
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """A derivation given by its images on every generator."""
+class Derivation(namedtuple("Derivation", "gens images")):
+    """A derivation given by its images on every generator.  Fields: gens,
+    the ring's generator names; images, a mapping from each name to a
+    MultiPoly over gens.  Not a field: `_table`, d(x_i) / x_i per
+    generator i as (m, c) pairs, ints where integral (m may hold -1):
+    d(coef * x^mono) is the sum of coef * e_i * c * x^(mono + m).  It is an
+    instance attribute, since a tuple subclass has no non-empty __slots__."""
 
-    gens: tuple[str, ...]
-    images: Mapping[str, MultiPoly]
-    # d(x_i) / x_i per generator i as (m, c) pairs, ints where integral (m
-    # may hold -1): d(coef * x^mono) is the sum of coef * e_i * c * x^(mono + m)
-    _table: list = field(init=False, repr=False, compare=False)
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        missing = [g for g in self.gens if g not in self.images]
+    def __new__(cls, gens: tuple[str, ...], images: Mapping[str, MultiPoly]):
+        missing = [g for g in gens if g not in images]
         if missing:
             raise ValueError(f"no image for generators {missing}")
-        for name, img in self.images.items():
-            if name not in self.gens:
+        for name, img in images.items():
+            if name not in gens:
                 raise ValueError(f"image given for unknown generator {name!r}")
             if not isinstance(img, MultiPoly):
                 raise TypeError(f"image {img!r} of {name!r} is not a MultiPoly")
-            if img.gens != self.gens:
+            if img.gens != gens:
                 raise ValueError(f"image of {name!r} is over different generators")
-        object.__setattr__(self, "_table", [
-            [(m[:i] + (m[i] - 1,) + m[i + 1:], c) for m, c in _ints(self.images[g].terms).items()]
-            for i, g in enumerate(self.gens)])
+        self = super().__new__(cls, gens, images)
+        self._table = [
+            [(m[:i] + (m[i] - 1,) + m[i + 1:], c) for m, c in _ints(images[g].terms).items()]
+            for i, g in enumerate(gens)]
+        return self
 
 
 def make_derivation(ring: QuotientRing, /,
@@ -160,8 +162,7 @@ def verify_compatibility_condition2(ring: QuotientRing, d1: Derivation,
                               delta_degree(ring, d2, a, cap))
 
 
-@dataclass(frozen=True)
-class WitnessTerm:
+class WitnessTerm(NamedTuple):
     coefficient: Fraction
     left_label: str
     right_label: str
@@ -170,8 +171,7 @@ class WitnessTerm:
     degree: int  # number of kernel factors multiplied, both sides
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Outcome of the search for the constant 1 in the span of products
     of kernel monomials."""
 

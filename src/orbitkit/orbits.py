@@ -20,8 +20,7 @@ the 66 partitions of 1..ORACLE_SIZE_CAP.  Refusals are never memoised.
 """
 
 import operator
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .partitions import (
@@ -61,16 +60,18 @@ class CapacityError(ValueError):
     """Input exceeds an enumeration or linear-algebra size cap."""
 
 
-@dataclass(frozen=True)
-class OrbitCount:
-    lie_type: LieType
-    count: int
-    method: str  # "partition-formula" | "exceptional-table"
-    notes: tuple[str, ...] = field(default=())
+class OrbitCount(namedtuple("OrbitCount", "lie_type count method notes")):
+    """Fields: lie_type, a LieType; count, at least 1 since the zero orbit
+    is counted (the field shadows tuple.count); method, "partition-formula"
+    or "exceptional-table"; notes, a tuple of str."""
 
-    def __post_init__(self):
-        if self.count < 1:
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
+
+    def __new__(cls, lie_type: LieType, count: int, method: str, notes: tuple[str, ...] = ()):
+        if count < 1:
             raise ValueError("orbit count must include at least the zero orbit")
+        return super().__new__(cls, lie_type, count, method, notes)
 
 
 def _pair_count(total: int, lam_weight: int, mu_constraint: PartitionConstraint) -> int:

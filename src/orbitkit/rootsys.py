@@ -18,10 +18,10 @@ mixed-sign reflected root, or a height-1 root that is not simple.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import RootSystemConsistencyError
 from .echelon import rank
@@ -45,37 +45,34 @@ class InvalidLieTypeError(ValueError):
     """Raised when a family/rank combination violates the type constraints."""
 
 
-@dataclass(frozen=True)
-class LieType:
+class LieType(namedtuple("LieType", "family rank")):
     """Simple type label.  Low-rank coincidences are canonicalized on
     construction: C_2 becomes B_2 and D_3 becomes A_3, so equal labels
     mean equal root data."""
 
-    family: str
-    rank: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        family, rank = self.family, self.rank
+    def __new__(cls, family: str, rank: int):
         if family not in ("A", "B", "C", "D", "E", "F", "G"):
             raise InvalidLieTypeError(f"unknown family {family!r}; expected one of A..G")
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
             raise InvalidLieTypeError(f"rank must be a positive integer, got {rank!r}")
         if family == "C" and rank == 2:
-            family, rank = "B", 2
+            family = "B"
         elif family == "D" and rank == 3:
-            family, rank = "A", 3
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
+            family = "A"
         minimum = {"A": 1, "B": 2, "C": 3, "D": 4}
         if family in minimum:
             if rank < minimum[family]:
                 raise InvalidLieTypeError(
-                    f"family {self.family} requires rank >= {minimum[self.family]}"
-                    f" (after canonicalization), got {self.family}{self.rank}")
+                    f"family {family} requires rank >= {minimum[family]}"
+                    f" (after canonicalization), got {family}{rank}")
         elif rank not in _EXCEPTIONAL_RANKS[family]:
             allowed = ",".join(str(r) for r in _EXCEPTIONAL_RANKS[family])
             raise InvalidLieTypeError(
                 f"family {family} only exists in rank {allowed}, got {family}{rank}")
+        return super().__new__(cls, family, rank)
 
     @classmethod
     def from_string(cls, text: str) -> "LieType":
@@ -96,8 +93,7 @@ def _check_lie_type(t) -> None:
         raise TypeError(f"Lie type must be a LieType, got {t!r}")
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     lie_type: LieType
     simple_roots: tuple[Vector, ...]
     positive_roots: tuple[Vector, ...]
@@ -210,7 +206,7 @@ def _closure_from_cartan(cartan: Sequence[Sequence[int]],
     return roots
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a plain tuple misses LieType keys
 def build_root_system(t: LieType) -> RootSystem:
     """Construct the full positive root system for a valid simple type.
 
@@ -247,7 +243,7 @@ def build_root_system(t: LieType) -> RootSystem:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def positive_root_count(t: LieType) -> int:
     """Number of positive roots.  The classical families use the closed
     forms n(n+1)/2 (A), n^2 (B, C) and n(n-1) (D) at every rank, which

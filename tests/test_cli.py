@@ -299,6 +299,18 @@ class TestColdProcess:
         assert [m for m in loaded if not m.startswith("orbitkit.lndcalc")] == [
             "orbitkit", "orbitkit.echelon"]
 
+    @pytest.mark.parametrize("setup", [
+        "import orbitkit.cli",
+        "import orbitkit.lndcalc; orbitkit.lndcalc.sl2_standard_derivations()",
+    ], ids=["cli-import", "lnd-algebra-set-up"])
+    def test_value_types_load_no_dataclasses(self, setup):
+        # the value types are named tuples, so neither a CLI process nor the
+        # lnd-algebra set-up pays for dataclasses (with inspect, ast, dis
+        # and tokenize)
+        proc = self.python("-c", f"{setup}; import sys; print(sorted(m for m in"
+                                 " ('dataclasses', 'inspect') if m in sys.modules))")
+        assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr or proc.stdout
+
     def test_lnd_verify_loads_lndcalc_on_demand(self):
         proc = self.python("-m", "orbitkit.cli", "lnd", "verify")
         assert proc.returncode == EXIT_PASS, proc.stderr

@@ -1,6 +1,5 @@
 import copy
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -98,7 +97,7 @@ class TestRank2Report:
 
     def test_failing_case_raises(self, monkeypatch):
         monkeypatch.setattr(embedcheck, "nilpotent_orbit_count",
-                            lambda t: replace(nilpotent_orbit_count(t), count=1)
+                            lambda t: nilpotent_orbit_count(t)._replace(count=1)
                             if t == T("A7") else nilpotent_orbit_count(t))
         with pytest.raises(InconsistencyError,
                            match=r"case \(4\) fails at A7 > C4: orbit counts 1 vs 14"):

@@ -346,6 +346,14 @@ class TestDerivations:
         with pytest.raises(ValueError, match="image of 'y' is over different generators"):
             Derivation(gens, {"x": y, "y": MultiPoly.generator(("y",), "y")})
 
+    def test_replace_checks_images_and_rebuilds_the_table(self):
+        free = QuotientRing(("x", "y"))
+        d = make_derivation(free, x="y")
+        with pytest.raises(ValueError, match=r"no image for generators \['y'\]"):
+            d._replace(images={"x": free.parse("y")})
+        swapped = d._replace(images={"x": free.parse("0"), "y": free.parse("x")})
+        assert str(apply_derivation(free, swapped, free.parse("x*y"))) == "x^2"
+
     @pytest.mark.parametrize("name", ["images", "ring"])
     def test_generator_may_share_a_parameter_name(self, name):
         free = QuotientRing((name, "y"))

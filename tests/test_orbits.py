@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -114,7 +113,7 @@ class TestTypeAClassification:
     def test_count_mismatch_raises(self, monkeypatch):
         def off_by_one(t):
             oc = nilpotent_orbit_count(t)
-            return replace(oc, count=oc.count + 1)
+            return oc._replace(count=oc.count + 1)
 
         monkeypatch.setattr(orbits, "nilpotent_orbit_count", off_by_one)
         with pytest.raises(RootSystemConsistencyError, match=r"A3: enumerated 5 .* counts 6"):
@@ -394,6 +393,8 @@ class TestDimensions:
     def test_zero_count_refused(self):
         with pytest.raises(ValueError, match="at least the zero orbit"):
             orbits.OrbitCount(T("A1"), count=0, method="partition-formula")
+        with pytest.raises(ValueError, match="at least the zero orbit"):
+            nilpotent_orbit_count(T("A1"))._replace(count=0)
 
     def test_oracle_cap(self):
         with pytest.raises(CapacityError):

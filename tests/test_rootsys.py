@@ -61,11 +61,19 @@ class TestLieType:
         assert LieType("D", 3) == LieType("A", 3)
         assert str(LieType("C", 2)) == "B2"
 
+    def test_replace_checks_and_canonicalizes(self):
+        assert str(LieType("C", 3)._replace(rank=2)) == "B2"
+        with pytest.raises(InvalidLieTypeError, match="positive integer, got 0"):
+            LieType("A", 3)._replace(rank=0)
+
     @pytest.mark.parametrize("function", [build_root_system, positive_root_count,
                                           group_dimension], ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("value", ["A3", None], ids=repr)
+    @pytest.mark.parametrize("value", ["A3", None, ("A", 3)], ids=repr)
     def test_functions_refuse_values_that_are_not_lie_types(self, function, value):
-        # each ended in an AttributeError that did not name the value
+        # each ended in an AttributeError that did not name the value.  A
+        # LieType equals the plain tuple of its fields, so the caches must
+        # be typed for ("A", 3) to be refused after LieType("A", 3) is cached
+        function(LieType("A", 3))
         with pytest.raises(TypeError, match=re.escape(f"must be a LieType, got {value!r}")):
             function(value)
 
